@@ -23,14 +23,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Optional
+import threading
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..energy.area import AreaModel, AreaReport
 from ..energy.cost import CostModel, EnergyBreakdown
 from ..energy.tech import DEFAULT_TECH, TechnologyModel
 from ..sparsity.nm import NMPattern
+from .effects import effects
 from .mram_pe import PIPELINE_DEPTH
-from .workload import LayerWorkload, Workload
+from .workload import LayerWorkload, Workload, nm_storage_bits
 
 
 @dataclasses.dataclass
@@ -214,6 +218,118 @@ class DenseCIMDesign:
         return PerfReport(self.name, "training_step", latency, energy)
 
 
+# ---------------------------------------------------------------------------
+# Layer arrays: the workload as numpy columns, shared by every hybrid design
+# ---------------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True, eq=False)
+class LayerArrays:
+    """A workload's layers as read-only numpy columns, in layer order.
+
+    ``pairs`` is each layer's compressed (weight, index) pair count at one
+    N:M density; everything else is pure geometry.  ``layers`` is the
+    snapshot the columns were built from, so a cached instance can be
+    checked against the workload's current layer list.
+    """
+
+    layers: Tuple[LayerWorkload, ...]
+    in_dim: np.ndarray
+    out_dim: np.ndarray
+    positions: np.ndarray
+    learnable: np.ndarray          # bool mask
+    pairs: np.ndarray              # ceil(weights * density)
+    learnable_index: np.ndarray    # positions of the learnable layers
+    learnable_weights: int
+    max_learnable_weights: int     # 0 without learnable layers
+    frozen_weights: int
+    frozen_pairs: int
+
+    @classmethod
+    def build(cls, layers: Tuple[LayerWorkload, ...],
+              density: float) -> "LayerArrays":
+        def column(values, dtype=np.int64):
+            arr = np.array(values, dtype=dtype)
+            arr.flags.writeable = False
+            return arr
+        in_dim = column([l.in_dim for l in layers])
+        out_dim = column([l.out_dim for l in layers])
+        learnable = column([l.learnable for l in layers], dtype=bool)
+        pairs = column([math.ceil(l.weights * density) for l in layers])
+        weights = in_dim * out_dim
+        return cls(
+            layers=layers, in_dim=in_dim, out_dim=out_dim,
+            positions=column([l.positions for l in layers]),
+            learnable=learnable, pairs=pairs,
+            learnable_index=column(np.flatnonzero(learnable)),
+            learnable_weights=int(weights[learnable].sum()),
+            max_learnable_weights=int(weights[learnable].max(initial=0)),
+            frozen_weights=int(weights[~learnable].sum()),
+            frozen_pairs=int(pairs[~learnable].sum()))
+
+
+#: Layer arrays per (workload, density), shared by every design evaluated
+#: on that workload.  Written only under ``_LAYER_ARRAYS_LOCK``: serve
+#: threads reach this memo through the batching worker.
+_LAYER_ARRAYS: Dict[Tuple[int, float], LayerArrays] = {}
+_LAYER_ARRAYS_LOCK = threading.Lock()
+#: Entries kept before the memo starts evicting its oldest one.
+_LAYER_ARRAYS_MAX = 64
+
+
+@effects("READS_GLOBAL",
+         reason="idempotent memo: an entry is served only while its layer "
+                "snapshot equals the workload's current layers, and it "
+                "holds what LayerArrays.build deterministically computes "
+                "from them, so callers see a pure function of (layers, "
+                "density)")
+def layer_arrays(workload: Workload, density: float) -> LayerArrays:
+    """The :class:`LayerArrays` of ``workload`` at ``density``, memoised.
+
+    Entries are keyed by the workload's identity but served only while
+    their snapshot equals ``workload.layers`` (an identity check per
+    layer in the common case), so a mutated layer list is rebuilt rather
+    than served stale.
+    """
+    layers = tuple(workload.layers)
+    key = (id(workload), density)
+    with _LAYER_ARRAYS_LOCK:
+        cached = _LAYER_ARRAYS.get(key)
+    if cached is not None and cached.layers == layers:
+        return cached
+    arrays = LayerArrays.build(layers, density)
+    with _LAYER_ARRAYS_LOCK:
+        _LAYER_ARRAYS.pop(key, None)
+        while len(_LAYER_ARRAYS) >= _LAYER_ARRAYS_MAX:
+            del _LAYER_ARRAYS[next(iter(_LAYER_ARRAYS))]
+        _LAYER_ARRAYS[key] = arrays
+    return arrays
+
+
+def _ordered_sum(terms: np.ndarray) -> float:
+    """``terms`` summed strictly left to right, as a per-layer loop would.
+
+    ``np.sum`` adds pairwise and Python 3.12's ``sum`` compensates; either
+    would move the low bits of the paper's figures.
+    """
+    if terms.size == 0:
+        return 0.0
+    return float(np.add.accumulate(terms, dtype=np.float64)[-1])
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Provisioning:
+    """What one hybrid design provisions for one workload (see
+    :meth:`HybridSparseDesign._provision`)."""
+
+    arrays: LayerArrays
+    fwd_pes: int
+    compute_pes: int               # fwd pool + equal transposed-buffer pool
+    mram_arrays: int
+    sram_storage_bits: int
+    backbone_bits: int
+    leakage_mw: float
+    vector_cycles: np.ndarray      # cycles per activation vector, per layer
+
+
 class HybridSparseDesign:
     """The paper's hybrid: sparse MRAM backbone + sparse SRAM learnable path.
 
@@ -222,6 +338,12 @@ class HybridSparseDesign:
     in SRAM, plus a small *fixed* set of SRAM sparse compute PEs — half for
     the forward direction and half as transposed buffers for
     backpropagation — through which learnable layers are time-multiplexed.
+
+    The per-layer charges are evaluated as numpy expressions over the
+    workload's :class:`LayerArrays`, and every per-layer total is summed
+    in layer order (:func:`_ordered_sum`), so the results are exactly those
+    of a Python loop over the layers.  A design's parameters are fixed at
+    construction; its provisioning is computed once per workload.
     """
 
     SRAM_PE_PAIRS = 128 * 8
@@ -252,90 +374,105 @@ class HybridSparseDesign:
                 f"(weight, index) pair at {tech.mram.weight_bits}+"
                 f"{tech.mram.index_bits} bits")
         self._mram_array_pairs = tech.mram.rows * self._mram_pairs_per_row
+        self._provisioned: Optional[_Provisioning] = None
 
     # --------------------------------------------------------------- sizing
-    def _layer_pairs(self, layer: LayerWorkload) -> int:
-        """Compressed (weight, index) pairs of one layer."""
-        return math.ceil(layer.weights * self.pattern.density)
+    def _provisioning(self, workload: Workload) -> _Provisioning:
+        arrays = layer_arrays(workload, self.pattern.density)
+        cached = self._provisioned
+        if cached is None or cached.arrays is not arrays:
+            cached = self._provisioned = self._provision(arrays)
+        return cached
+
+    def _provision(self, arrays: LayerArrays) -> _Provisioning:
+        sram, mram = self.tech.sram, self.tech.mram
+        # Forward SRAM compute PEs (paper Sec. 4): bounded by the largest
+        # learnable layer, at the design's reference density (the sizing
+        # is monotone in a layer's weights, so the largest layer sets it).
+        fwd_pes = 1
+        if arrays.learnable_index.size:
+            fwd_pes = math.ceil(math.ceil(
+                arrays.max_learnable_weights * self.REFERENCE_DENSITY)
+                / self.SRAM_PE_PAIRS)
+        mram_arrays = max(1, math.ceil(arrays.frozen_pairs
+                                       / self._mram_array_pairs))
+        sram_storage_bits = nm_storage_bits(
+            arrays.learnable_weights, self.pattern,
+            weight_bits=sram.weight_bits, index_bits=sram.index_bits)
+        backbone_bits = nm_storage_bits(
+            arrays.frozen_weights, self.pattern,
+            weight_bits=mram.weight_bits, index_bits=mram.index_bits)
+        compute_pes = 2 * fwd_pes
+        sram_bytes = sram_storage_bits // 8 + compute_pes * sram.storage_bytes
+        leakage_mw = self.cost.leakage_power_mw(sram_bytes=sram_bytes,
+                                                mram_arrays=mram_arrays)
+
+        # Cycles to stream one activation vector through each layer: no
+        # faster than the shared bus delivers it, and no faster than ...
+        bus_cycles = arrays.in_dim * 8.0 / self.bus_bits
+        pairs = arrays.pairs
+        # ... a learnable layer's tiles time-multiplex the fwd PE pool,
+        # one index phase per group position, ...
+        tiles = np.maximum(1, np.ceil(pairs / self.SRAM_PE_PAIRS))
+        serialization = np.ceil(tiles / max(1, fwd_pes))
+        learnable_cycles = np.maximum(
+            serialization * self.pattern.m * 8.0, bus_cycles)
+        # ... a frozen layer's rows pipeline through its MRAM sub-arrays.
+        layer_mram_arrays = np.maximum(
+            1, np.ceil(pairs / self._mram_array_pairs))
+        rows = np.ceil(pairs / (layer_mram_arrays * self._mram_pairs_per_row))
+        frozen_cycles = np.maximum((rows + PIPELINE_DEPTH - 1) * 8.0,
+                                   bus_cycles)
+
+        return _Provisioning(
+            arrays=arrays, fwd_pes=fwd_pes, compute_pes=compute_pes,
+            mram_arrays=mram_arrays,
+            sram_storage_bits=sram_storage_bits, backbone_bits=backbone_bits,
+            leakage_mw=leakage_mw,
+            vector_cycles=np.where(arrays.learnable, learnable_cycles,
+                                   frozen_cycles))
 
     def sram_storage_bits(self, workload: Workload) -> int:
         """Compressed Rep-Net weight storage resident in SRAM."""
-        return workload.compressed_bits(
-            self.pattern, weight_bits=self.tech.sram.weight_bits,
-            index_bits=self.tech.sram.index_bits, scope="learnable")
+        return self._provisioning(workload).sram_storage_bits
 
     def sram_fwd_pe_count(self, workload: Workload) -> int:
         """Forward-direction SRAM compute PEs (paper Sec. 4: bounded by the
         maximum learnable layer, at the design's reference density)."""
-        learnable = [l for l in workload.layers if l.learnable]
-        if not learnable:
-            return 1
-        return max(math.ceil(math.ceil(l.weights * self.REFERENCE_DENSITY)
-                             / self.SRAM_PE_PAIRS) for l in learnable)
+        return self._provisioning(workload).fwd_pes
 
     def sram_compute_pe_count(self, workload: Workload) -> int:
         """Total SRAM compute PEs: forward pool + equal transposed-buffer pool."""
-        return 2 * self.sram_fwd_pe_count(workload)
+        return self._provisioning(workload).compute_pes
 
     def mram_array_count(self, workload: Workload) -> int:
-        frozen_pairs = sum(self._layer_pairs(l) for l in workload.layers
-                           if not l.learnable)
-        return max(1, math.ceil(frozen_pairs / self._mram_array_pairs))
+        return self._provisioning(workload).mram_arrays
 
     def backbone_compressed_bits(self, workload: Workload) -> int:
-        return workload.compressed_bits(
-            self.pattern, weight_bits=self.tech.mram.weight_bits,
-            index_bits=self.tech.mram.index_bits, scope="frozen")
+        return self._provisioning(workload).backbone_bits
 
     def area(self, workload: Workload) -> AreaReport:
+        prov = self._provisioning(workload)
         return self.area_model.hybrid_design_area(
-            self.backbone_compressed_bits(workload),
-            self.sram_compute_pe_count(workload),
-            sram_storage_bits=self.sram_storage_bits(workload))
+            prov.backbone_bits, prov.compute_pes,
+            sram_storage_bits=prov.sram_storage_bits)
 
     # ------------------------------------------------------------- inference
-    def _frozen_vector_cycles(self, layer: LayerWorkload) -> float:
-        bus_cycles = layer.in_dim * 8.0 / self.bus_bits
-        pairs = self._layer_pairs(layer)
-        arrays = max(1, math.ceil(pairs / self._mram_array_pairs))
-        rows = math.ceil(pairs / (arrays * self._mram_pairs_per_row))
-        return max((rows + PIPELINE_DEPTH - 1) * 8.0, bus_cycles)
-
-    def _learnable_vector_cycles(self, layer: LayerWorkload,
-                                 fwd_pes: int) -> float:
-        bus_cycles = layer.in_dim * 8.0 / self.bus_bits
-        tiles = max(1, math.ceil(self._layer_pairs(layer) / self.SRAM_PE_PAIRS))
-        serialization = math.ceil(tiles / max(1, fwd_pes))
-        return max(serialization * self.pattern.m * 8.0, bus_cycles)
-
-    def _leakage_power_mw(self, workload: Workload) -> float:
-        sram_bytes = (self.sram_storage_bits(workload) // 8
-                      + self.sram_compute_pe_count(workload)
-                      * self.tech.sram.storage_bytes)
-        return self.cost.leakage_power_mw(
-            sram_bytes=sram_bytes,
-            mram_arrays=self.mram_array_count(workload))
-
     def inference(self, workload: Workload, batch: int = 1) -> PerfReport:
-        fwd_pes = self.sram_fwd_pe_count(workload)
-        cycles = 0.0
-        compute = 0.0
-        buffer_bits = 0.0
-        for layer in workload.layers:
-            vectors = layer.positions * batch
-            nnz = self._layer_pairs(layer)
-            if layer.learnable:
-                cycles += vectors * self._learnable_vector_cycles(layer, fwd_pes)
-                compute += self.cost.mac_energy_pj(
-                    nnz * vectors, "sram", sparse=True)
-            else:
-                cycles += vectors * self._frozen_vector_cycles(layer)
-                compute += self.cost.mac_energy_pj(
-                    nnz * vectors, "mram", sparse=True)
-            buffer_bits += vectors * (layer.in_dim + layer.out_dim) * 8
+        prov = self._provisioning(workload)
+        arrays = prov.arrays
+        vectors = arrays.positions * batch
+        nnz_vectors = arrays.pairs * vectors
+        cycles = _ordered_sum(vectors * prov.vector_cycles)
+        compute = _ordered_sum(np.where(
+            arrays.learnable,
+            self.cost.mac_energy_pj(nnz_vectors, "sram", sparse=True),
+            self.cost.mac_energy_pj(nnz_vectors, "mram", sparse=True)))
+        buffer_bits = _ordered_sum(
+            vectors * (arrays.in_dim + arrays.out_dim) * 8)
 
         latency = self.cost.cycles_to_s(cycles)
-        leak_pj = self._leakage_power_mw(workload) * 1e-3 * latency * 1e12
+        leak_pj = prov.leakage_mw * 1e-3 * latency * 1e12
         energy = EnergyBreakdown(
             leakage_pj=leak_pj, compute_pj=compute,
             buffer_pj=self.cost.buffer_energy_pj(buffer_bits))
@@ -352,32 +489,31 @@ class HybridSparseDesign:
         excluded by default for the same reason as in
         :meth:`DenseCIMDesign.training_step`.
         """
-        learnable = [l for l in workload.layers if l.learnable]
-        fwd_pes = self.sram_fwd_pe_count(workload)
+        prov = self._provisioning(workload)
+        arrays = prov.arrays
+        sram = self.tech.sram
+        idx = arrays.learnable_index
+        vectors = arrays.positions[idx] * batch
+        nnz = arrays.pairs[idx]
 
-        bwd_cycles = 0.0
-        bwd_compute = 0.0
-        buffer_bits = 0.0
-        update_bits = 0.0
-        transpose_bits = 0.0
-        for layer in learnable:
-            vectors = layer.positions * batch
-            nnz = self._layer_pairs(layer)
-            bwd_cycles += 2 * vectors * self._learnable_vector_cycles(layer, fwd_pes)
-            bwd_compute += 2 * self.cost.mac_energy_pj(
-                nnz * vectors, "sram", sparse=True)
-            buffer_bits += 2 * vectors * layer.out_dim * 8
-            pair_bits = nnz * (self.tech.sram.weight_bits
-                               + self.tech.sram.index_bits)
-            update_bits += nnz * self.tech.sram.weight_bits
-            transpose_bits += pair_bits  # W^T re-written into transpose PEs
-            # a^T written for the masked gradient: only the activation rows
-            # feeding surviving (N:M-kept) weights are needed.
-            transpose_bits += vectors * layer.in_dim * 8 * self.pattern.density
+        bwd_cycles = _ordered_sum(2 * vectors * prov.vector_cycles[idx])
+        bwd_compute = _ordered_sum(2 * self.cost.mac_energy_pj(
+            nnz * vectors, "sram", sparse=True))
+        buffer_bits = _ordered_sum(2 * vectors * arrays.out_dim[idx] * 8)
+        update_bits = _ordered_sum(nnz * sram.weight_bits)
+        # Per layer, W^T is re-written into the transpose PEs, then a^T is
+        # written for the masked gradient: only the activation rows feeding
+        # surviving (N:M-kept) weights are needed.  Interleaved, so the
+        # running total adds them in that order.
+        transpose = np.empty(2 * idx.size)
+        transpose[0::2] = nnz * (sram.weight_bits + sram.index_bits)
+        transpose[1::2] = (vectors * arrays.in_dim[idx] * 8
+                           * self.pattern.density)
+        transpose_bits = _ordered_sum(transpose)
 
         write_cycles = self.cost.write_latency_cycles(
             update_bits + transpose_bits, "sram",
-            parallel_arrays=self.sram_compute_pe_count(workload))
+            parallel_arrays=prov.compute_pes)
 
         latency = self.cost.cycles_to_s(bwd_cycles + write_cycles)
         compute = bwd_compute
@@ -387,7 +523,7 @@ class HybridSparseDesign:
             latency += fwd.latency_s
             compute += fwd.energy.compute_pj
             buffer += fwd.energy.buffer_pj
-        leak_pj = self._leakage_power_mw(workload) * 1e-3 * latency * 1e12
+        leak_pj = prov.leakage_mw * 1e-3 * latency * 1e12
         energy = EnergyBreakdown(
             leakage_pj=leak_pj,
             compute_pj=compute,

@@ -102,15 +102,24 @@ class Workload:
             weights = self.learnable_weights
         else:
             raise ValueError(f"unknown scope {scope!r}")
-        if pattern is None:
-            return weights * weight_bits
-        kept = int(weights * pattern.density)
-        return kept * (weight_bits + index_bits)
+        return nm_storage_bits(weights, pattern, weight_bits, index_bits)
 
     def subset(self, learnable: bool) -> "Workload":
         return Workload(
             name=f"{self.name}:{'learnable' if learnable else 'frozen'}",
             layers=[l for l in self.layers if l.learnable == learnable])
+
+
+def nm_storage_bits(weights: int, pattern: Optional[NMPattern],
+                    weight_bits: int = 8, index_bits: int = 4) -> int:
+    """Storage bits of ``weights`` dense weights under N:M compression.
+
+    ``pattern=None`` returns the dense storage (no index overhead).
+    """
+    if pattern is None:
+        return weights * weight_bits
+    kept = int(weights * pattern.density)
+    return kept * (weight_bits + index_bits)
 
 
 # ------------------------------------------------------- model extraction

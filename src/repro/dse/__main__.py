@@ -116,6 +116,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(render_frontier(result))
     print()
     print(render_summary(result))
+    store_errors = cache.store_error_count()
+    if store_errors:
+        print(f"cache store errors: {store_errors}")
     for record in result["errors"]:
         error = record["error"]
         print(f"error: {record['config']} -> {error['type']}: "

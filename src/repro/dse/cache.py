@@ -17,6 +17,7 @@ leave a half-written entry that passes validation.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -41,7 +42,7 @@ def record_checksum(record: Dict[str, object]) -> str:
     return hashlib.sha256(canonical_json(record).encode("ascii")).hexdigest()
 
 
-@guarded_by("_lock", "hits", "misses", "rejected", "stored")
+@guarded_by("_lock", "hits", "misses", "rejected", "stored", "store_errors")
 class DiskCache:
     """Keyed record store with hit/miss/rejection accounting.
 
@@ -69,6 +70,9 @@ class DiskCache:
         self.misses = 0
         self.rejected = 0
         self.stored = 0
+        #: Stores that failed with an ``OSError`` (kept out of
+        #: :meth:`stats`, whose keys are a served contract).
+        self.store_errors = 0
 
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.json"
@@ -132,6 +136,13 @@ class DiskCache:
     @reentrant(reason="atomic tmp+replace write: safe under concurrent "
                       "stores of the same key from racing shards")
     def store(self, key: str, record: Dict[str, object]) -> None:
+        """Write ``record`` under ``key`` atomically.
+
+        An ``OSError`` (full disk, unwritable or non-directory root) is
+        counted in ``store_errors`` and re-raised, and the temp file is
+        removed, so a failed write leaves neither a partial entry nor a
+        stray ``*.tmp<pid>`` behind.
+        """
         if not self.enabled:
             return
         entry = {
@@ -140,17 +151,33 @@ class DiskCache:
             "checksum": record_checksum(record),
             "record": record,
         }
+        text = json.dumps(entry, indent=2, sort_keys=True) + "\n"
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        replaced = False
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+            replaced = True
+        except OSError:
+            with self._lock:
+                self.store_errors += 1
+            raise
+        finally:
+            if not replaced:
+                with contextlib.suppress(OSError):
+                    tmp.unlink(missing_ok=True)
         with self._lock:
             self.stored += 1
 
     # ------------------------------------------------------------------ misc
+    def store_error_count(self) -> int:
+        """Stores that failed with an ``OSError`` so far."""
+        with self._lock:
+            return self.store_errors
+
     def stats(self) -> Dict[str, object]:
         with self._lock:
             return {"enabled": self.enabled, "refresh": self.refresh,

@@ -23,6 +23,7 @@ Execution model:
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.concurrency import holds_no_locks
@@ -89,10 +90,11 @@ def evaluate_batch(keyed: Sequence[Tuple[str, Dict[str, object]]],
     The single engine call behind both a sweep shard and a coalesced
     serve batch: cache lookups first, one (optionally sharded)
     evaluation pass over the misses in input order, successful fresh
-    records stored back.  Returns ``(records, served)`` where
-    ``records`` maps key -> record and ``served`` maps key ->
-    ``"hit"`` / ``"miss"`` (cache provenance, for client-visible
-    counters).  Error records are never cached.
+    records stored back (a failed store leaves that record uncached).
+    Returns ``(records, served)`` where ``records`` maps key -> record
+    and ``served`` maps key -> ``"hit"`` / ``"miss"`` (cache
+    provenance, for client-visible counters).  Error records are never
+    cached.
     """
     tracer = get_tracer()
     records: Dict[str, Dict[str, object]] = {}
@@ -112,7 +114,10 @@ def evaluate_batch(keyed: Sequence[Tuple[str, Dict[str, object]]],
     for (key, _), record in zip(pending, fresh):
         records[key] = record
         if cache is not None and "error" not in record:
-            cache.store(key, record)
+            # A failed write costs the cache entry, never the record: it
+            # is counted in cache.store_errors and served uncached.
+            with contextlib.suppress(OSError):
+                cache.store(key, record)
     return records, served
 
 

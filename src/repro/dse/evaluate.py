@@ -13,6 +13,7 @@ the config alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 from typing import Dict, Mapping
 
@@ -63,17 +64,25 @@ def build_tech(config: Mapping[str, object]) -> TechnologyModel:
     Precision: ``weight_bits`` narrows both datapaths' stored operand
     width (packing + write volumes).  Device: a named corner applies its
     dotted field overrides.
+
+    Variants are memoised on ``(mram_rows, weight_bits, device)``: the
+    technology dataclasses are frozen, so one instance can be shared by
+    every design that names it.
     """
+    return _tech_variant(int(config["mram_rows"]), int(config["weight_bits"]),
+                         str(config["device"]))
+
+
+@functools.lru_cache(maxsize=256)
+def _tech_variant(rows: int, bits: int, device: str) -> TechnologyModel:
     sram, mram = DEFAULT_TECH.sram, DEFAULT_TECH.mram
 
-    rows = int(config["mram_rows"])
     if rows < 1:
         raise ValueError(f"mram_rows must be >= 1, got {rows}")
     if rows != mram.rows:
         mram = dataclasses.replace(
             mram, rows=rows, array_area=mram.array_area * rows / mram.rows)
 
-    bits = int(config["weight_bits"])
     if not 2 <= bits <= 8:
         raise ValueError(f"weight_bits {bits} outside the modeled 2..8 range")
     if bits != sram.weight_bits:
@@ -81,7 +90,6 @@ def build_tech(config: Mapping[str, object]) -> TechnologyModel:
     if bits != mram.weight_bits:
         mram = dataclasses.replace(mram, weight_bits=bits)
 
-    device = str(config["device"])
     if device not in DEVICE_CORNERS:
         raise ValueError(f"unknown device corner {device!r}")
     for dotted, value in sorted(DEVICE_CORNERS[device].items()):

@@ -5,7 +5,9 @@ miss, reject, refresh — the sweep output must be byte-identical to a
 cache-less run over the same spec.
 """
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -173,3 +175,51 @@ class TestEntrySchema:
         record = cold_result["records"][0]
         assert record["key"] == config_key(record["config"])
         assert warm_cache.path_for(record["key"]).exists()
+
+
+class TestStoreFailures:
+    """A failed write costs the cache entry, never the record."""
+
+    @staticmethod
+    def fail_replace(monkeypatch):
+        def replace(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+        monkeypatch.setattr("repro.dse.cache.os.replace", replace)
+
+    def test_failed_replace_leaves_no_tmp_file(self, tmp_path, monkeypatch,
+                                               cold_result):
+        cache = DiskCache(tmp_path / "c")
+        record = cold_result["records"][0]
+        self.fail_replace(monkeypatch)
+        with pytest.raises(OSError) as info:
+            cache.store(record["key"], record)
+        assert info.value.errno == errno.ENOSPC
+        assert list(cache.root.iterdir()) == []
+        assert cache.store_error_count() == 1 and cache.stored == 0
+
+    def test_entry_bytes_are_the_indented_sorted_json(self, tmp_path,
+                                                      cold_result):
+        cache = DiskCache(tmp_path / "c")
+        record = cold_result["records"][0]
+        cache.store(record["key"], record)
+        entry = {"schema": CACHE_SCHEMA, "key": record["key"],
+                 "checksum": record_checksum(record), "record": record}
+        expected = json.dumps(entry, indent=2, sort_keys=True) + "\n"
+        assert cache.path_for(record["key"]).read_text("utf-8") == expected
+
+    def test_sweep_serves_records_uncached(self, tmp_path, monkeypatch,
+                                           cold_result):
+        cache = DiskCache(tmp_path / "c")
+        self.fail_replace(monkeypatch)
+        result = run_sweep(spec=SPEC, workers=1, cache=cache)
+        assert result["records"] == cold_result["records"]
+        assert (dumps_canonical(frontier_doc(result))
+                == dumps_canonical(frontier_doc(cold_result)))
+        assert cache.store_error_count() == SPEC.size
+        assert cache.stats()["stored"] == 0
+        assert list(cache.root.iterdir()) == []
+
+    def test_stats_keys_are_unchanged(self, tmp_path):
+        assert sorted(DiskCache(tmp_path / "c").stats()) == [
+            "enabled", "hits", "misses", "refresh", "rejected", "root",
+            "stored"]

@@ -130,6 +130,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert f"{SMOKE_SPEC.size} hits" in out
 
+    def test_cache_dir_under_a_regular_file_fails_soft(
+            self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "blocker").write_text("not a directory")
+        code = self.run(self.smoke_args(
+            ["--cache-dir", "blocker/cache", "--out", "cached.json"]),
+            tmp_path, monkeypatch)
+        assert code == 0
+        assert (f"cache store errors: {SMOKE_SPEC.size}"
+                in capsys.readouterr().out)
+        code = self.run(self.smoke_args(
+            ["--no-cache", "--out", "uncached.json"]), tmp_path, monkeypatch)
+        assert code == 0
+        assert "cache store errors" not in capsys.readouterr().out
+        assert ((tmp_path / "cached.json").read_bytes()
+                == (tmp_path / "uncached.json").read_bytes())
+
     def test_min_cache_hits_fails_a_cold_run(self, tmp_path, monkeypatch):
         code = self.run(self.smoke_args(["--min-cache-hits", "1"]),
                         tmp_path, monkeypatch)

@@ -55,6 +55,18 @@ class TestEvaluateDifferential:
                 assert doc["key"] == config_key(normalize_config(cfg))
                 assert headers["X-Repro-Trace-Id"] == doc["trace_id"]
 
+    def test_unwritable_cache_serves_records_uncached(self, tmp_path):
+        (tmp_path / "blocker").write_text("not a directory")
+        cache = DiskCache(tmp_path / "blocker" / "cache")
+        with live_server(cache=cache, window_s=0.005) as (app, client):
+            for cfg in SAMPLE_CONFIGS[:2]:
+                status, doc, _ = client.post("/v1/evaluate", {"config": cfg})
+                assert status == 200
+                assert doc["cache"] == "miss"
+                direct = evaluate_config(normalize_config(cfg))
+                assert canon(doc["record"]) == canon(direct)
+        assert cache.store_error_count() == 2
+
     def test_warm_responses_are_cache_hits_with_identical_bytes(
             self, tmp_path):
         with live_server(tmp_path, window_s=0.005) as (app, client):
