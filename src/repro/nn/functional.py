@@ -31,43 +31,79 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Rearrange image patches into columns.
 
+    The patches are built K-major, in a ``(C*KH*KW, N*OH*OW)`` buffer filled
+    by one slab copy per kernel tap whose inner axis is an image row; the
+    result is the transposed view of that buffer.
+
     Parameters
     ----------
     x: ``(N, C, H, W)`` input batch.
 
     Returns
     -------
-    ``(N * OH * OW, C * KH * KW)`` patch matrix.
+    ``(N * OH * OW, C * KH * KW)`` patch matrix (a transposed view).
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
+    xc = x.transpose(1, 0, 2, 3)                               # (c, n, h, w)
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]            # (n, c, oh, ow, kh, kw)
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-
-
-def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
-           kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back into an image."""
-    n, c, h, w = x_shape
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w, kw, stride, padding)
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+        xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = xc
+    else:
+        xp = xc
+    out = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
     for i in range(kh):
         i_max = i + stride * oh
         for j in range(kw):
             j_max = j + stride * ow
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
+            out[:, i, j] = xp[:, :, i:i_max:stride, j:j_max:stride]
+    return out.reshape(c * kh * kw, n * oh * ow).T
+
+
+#: Patch bytes :func:`col2im` scatters per block of images (about an L2 cache).
+COL2IM_BLOCK_BYTES = 1 << 20
+
+
+def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
+           kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """Adjoint of :func:`im2col`: scatter-add columns back into an image.
+
+    ``cols`` is read as ``(N, OH, OW, C, KH, KW)`` and each kernel tap is
+    added, in ``(i, j)`` order onto zeros, into a channels-last padded
+    buffer, so every write is a contiguous run of channels.  The result is
+    an ``(N, C, H, W)`` view of that buffer.
+    """
+    n, c, h, w = x_shape
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    cols = cols.reshape(n, oh, ow, c, kh, kw)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    # A few images at a time, so the KH*KW strided passes over their patch
+    # rows read from cache rather than from memory.
+    step = max(1, COL2IM_BLOCK_BYTES // cols[0].nbytes)
+    for start in range(0, n, step):
+        image, patches = padded[start:start + step], cols[start:start + step]
+        for i in range(kh):
+            i_max = i + stride * oh
+            for j in range(kw):
+                j_max = j + stride * ow
+                image[:, i:i_max:stride, j:j_max:stride] += patches[..., i, j]
     if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+        padded = padded[:, padding:-padding, padding:-padding]
+    return padded.transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------- convolution
+#: GEMMs of at most this many multiply-adds run on a row-major copy of the
+#: patches.  OpenBLAS hands products this small to kernels whose summation
+#: order depends on whether an operand is transposed; larger ones are packed
+#: into panels first, and round the same from either layout.  The copy is
+#: cheap at this size; above it, copying costs more than reading the
+#: transposed view.  ``tests/test_conv_oracle.py`` covers both sides.
+SMALL_GEMM_MACS = 1_000_000
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution, ``x (N,C,H,W)`` * ``weight (F,C,KH,KW)`` -> ``(N,F,OH,OW)``."""
@@ -80,8 +116,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
 
+    # The GEMMs are the row-major ones; cols is a transposed view, which BLAS
+    # packs like any operand.  The input gradient stays row-major, because
+    # the layout of a GEMM's output decides how BLAS tiles the product.
     cols = im2col(x.data, kh, kw, stride, padding)            # (N*OH*OW, C*KH*KW)
     wmat = weight.data.reshape(f, -1)                          # (F, C*KH*KW)
+    if cols.size * f <= SMALL_GEMM_MACS:
+        cols = np.ascontiguousarray(cols)
     out_data = cols @ wmat.T                                   # (N*OH*OW, F)
     if bias is not None:
         out_data = out_data + bias.data
@@ -120,7 +161,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     oh = conv_output_size(h, kernel, stride, 0)
     ow = conv_output_size(w, kernel, stride, 0)
     cols = im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
-    cols = cols.reshape(n * c * oh * ow, kernel * kernel)
     arg = cols.argmax(axis=1)
     out_data = cols[np.arange(cols.shape[0]), arg].reshape(n, c, oh, ow)
 
@@ -142,7 +182,9 @@ def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     oh = conv_output_size(h, kernel, stride, 0)
     ow = conv_output_size(w, kernel, stride, 0)
     cols = im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
-    out_data = cols.mean(axis=1).reshape(n, c, oh, ow)
+    # A mean over the rows of a transposed view rounds differently from one
+    # over contiguous rows, which is what pooling has always averaged.
+    out_data = np.ascontiguousarray(cols).mean(axis=1).reshape(n, c, oh, ow)
 
     out = x._make_child(out_data, (x,))
     if out.requires_grad:

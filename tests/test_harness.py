@@ -1,6 +1,7 @@
 """Tests for the experiment harness (table/figure regeneration)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +136,17 @@ class TestTable1Fast:
     def test_render(self, result):
         out = render_table1(result)
         assert "Table 1" in out and "Dense RepNet" in out
+
+    def test_accuracies_match_committed_result(self, result):
+        """Every accuracy equals the committed ``results/table1_fast.json`` exactly."""
+        path = Path(__file__).resolve().parents[1] / "results" / "table1_fast.json"
+        pinned = json.loads(path.read_text())
+        config = json.loads(json.dumps(result["config"]))
+        assert config == {**pinned["config"], "verbose": config["verbose"]}
+        assert result["tasks"] == pinned["tasks"]
+        assert result["base_accuracy_dense"] == pinned["base_accuracy_dense"]
+        assert len(result["rows"]) == len(pinned["rows"])
+        keys = ["backbone@base"] + pinned["tasks"]
+        for row, want in zip(result["rows"], pinned["rows"]):
+            assert row["config"] == want["config"]
+            assert [row[k] for k in keys] == [want[k] for k in keys], row["config"]
