@@ -1,10 +1,11 @@
 """Design-space exploration over the paper-scale workload.
 
-Sweeps the N:M pattern across the hardware's supported range and compares
-the hybrid design against both dense baselines on the three axes of the
-paper's evaluation: area (Fig. 7 right), inference power (Fig. 7 left) and
-continual-learning EDP (Fig. 8).  Also prints the storage/core mapping view
-(the "26 MB dense needs dual-core, compressed fits one core" observation).
+Sweeps the N:M pattern and the activation-bus width through the DSE engine
+(``repro.dse.run_sweep``) and compares the hybrid design against both dense
+baselines on the three axes of the paper's evaluation: area (Fig. 7 right),
+inference power (Fig. 7 left) and continual-learning EDP (Fig. 8).  Also
+prints the storage/core mapping view (the "26 MB dense needs dual-core,
+compressed fits one core" observation) and the sweep's Pareto frontier.
 
 Run: ``python examples/accelerator_design_space.py``
 """
@@ -12,6 +13,7 @@ Run: ``python examples/accelerator_design_space.py``
 from repro.core import (CoreConfig, DenseCIMDesign, HybridMapper,
                         HybridSparseDesign, dense_core_requirement,
                         paper_workload)
+from repro.dse import SweepSpec, frontier_doc, run_sweep
 from repro.harness.reporting import format_table
 from repro.sparsity import NMPattern
 
@@ -24,37 +26,47 @@ print(f"  dense mapping needs {dense_core_requirement(workload)} cores "
       f"of {CoreConfig().mram_capacity_bytes / 2**20:.0f} MB\n")
 
 # ------------------------------------------------------------ pattern sweep
-rows = []
+PATTERNS = ("1:16", "1:8", "2:8", "1:4", "2:4")
+BUS_BITS = (64, 128, 256)
+result = run_sweep(spec=SweepSpec(patterns=PATTERNS, bus_bits=BUS_BITS))
+metrics = {(r["config"]["pattern"], r["config"]["bus_bits"]): r["metrics"]
+           for r in result["records"]}
+
 sram_ref = DenseCIMDesign("sram", "all", name="SRAM[29]")
 ref_area = sram_ref.area(workload).total_mm2
 ref_power = sram_ref.inference(workload).avg_power_mw
-edp_ref = None
+edp_ref = metrics[("1:8", 128)]["training_edp_js"]
 
-for pattern in [NMPattern(1, 16), NMPattern(1, 8), NMPattern(2, 8),
-                NMPattern(1, 4), NMPattern(2, 4)]:
-    design = HybridSparseDesign(pattern)
-    area = design.area(workload).total_mm2
-    perf = design.inference(workload)
-    train = design.training_step(workload)
-    mapper = HybridMapper(pattern)
-    storage = mapper.storage_report(workload)
-    if edp_ref is None and str(pattern) == "1:8":
-        edp_ref = train.edp_js
-    rows.append([str(pattern), f"{pattern.sparsity:.0%}",
+rows = []
+for name in PATTERNS:
+    pattern = NMPattern.parse(name)
+    storage = HybridMapper(pattern).storage_report(workload)
+    met = metrics[(name, 128)]
+    rows.append([name, f"{pattern.sparsity:.0%}",
                  storage["cores_used"],
                  (storage["sram_bytes"] + storage["mram_bytes"]) / 2**20,
-                 area / ref_area,
-                 perf.avg_power_mw / ref_power,
-                 train.edp_js])
-
-edp_ref = edp_ref or rows[0][-1]
-for row in rows:
-    row[-1] = row[-1] / edp_ref
+                 met["area_mm2"] / ref_area,
+                 met["inference_power_mw"] / ref_power,
+                 met["training_edp_js"] / edp_ref])
 
 print(format_table(
     ["Pattern", "Sparsity", "Cores", "Storage (MB)", "Area (rel SRAM)",
      "Power (rel SRAM)", "Train EDP (rel 1:8)"],
-    rows, title="Hybrid design: N:M pattern sweep"))
+    rows, title="Hybrid design: N:M pattern sweep (128-bit bus)"))
+
+# --------------------------------------------------------- Pareto frontier
+print()
+doc = frontier_doc(result)
+print(format_table(
+    ["Pattern", "Bus", "Area (rel SRAM)", "Power (rel SRAM)",
+     "Train EDP (rel 1:8)", "Density"],
+    [[r["config"]["pattern"], r["config"]["bus_bits"],
+      r["metrics"]["area_mm2"] / ref_area,
+      r["metrics"]["inference_power_mw"] / ref_power,
+      r["metrics"]["training_edp_js"] / edp_ref, r["metrics"]["density"]]
+     for r in doc["frontier"]],
+    title=f"Pareto frontier: {len(doc['frontier'])} of {doc['configs']} "
+          "configs (pattern x bus width)"))
 
 # ---------------------------------------------------- baseline comparison
 print()

@@ -42,9 +42,9 @@ DEFAULT_REPEATS = 5
 #: Batch rows for the corpus throughput sweep.
 CORPUS_BATCH = 64
 
-#: Implementations raced over the corpus ("reference" is left to the
-#: differential suite — racing it here would dominate CI minutes).
-CORPUS_IMPLS = ("fast", "flat")
+#: Implementations timed over the corpus ("reference" is left to the
+#: differential suite — timing it here would dominate CI minutes).
+CORPUS_IMPLS = ("fast",)
 
 #: Lower-only tolerance for throughput metrics: fail when GFLOP-equiv/s
 #: drops by more than this fraction (0.75 ~ the 4x-slower limit the
@@ -117,7 +117,7 @@ def collect_dse_metrics() -> Dict[str, Dict[str, object]]:
     """
     from ..dse import SMOKE_SPEC, NullCache, run_sweep
 
-    result = run_sweep(spec=SMOKE_SPEC, workers=1, cache=NullCache())
+    result = run_sweep(spec=SMOKE_SPEC, cache=NullCache())
     frontier = result["frontier"]
     metrics: Dict[str, Dict[str, object]] = {
         "dse.smoke.frontier_size": _metric(
@@ -148,10 +148,10 @@ def _best_of(fn: Callable[[], object], repeats: int,
              warmup: int = 1) -> float:
     """Best-of-N wall time of ``fn()`` in milliseconds (monotonic clock).
 
-    The untimed warmup calls populate lazily-built state (kernel plans,
-    flat layouts, the workspace pool) so the measured best reflects
-    steady-state cost, never first-call construction — plan build has
-    its own ``timing.kernel.plan_build.*`` metrics.
+    The untimed warmup calls populate lazily-built state (kernel plans)
+    so the measured best reflects steady-state cost, never first-call
+    construction — plan build has its own ``timing.kernel.plan_build.*``
+    metrics.
     """
     for _ in range(warmup):
         fn()
@@ -210,8 +210,7 @@ def collect_timing_metrics(repeats: int = DEFAULT_REPEATS
             _best_of(lambda pe=mram_pe: pe.matmul(mram_x), repeats),
             "timing", "ms")
 
-    # Plan construction, charged separately from the matmuls above so a
-    # flat-vs-fast comparison never hides build cost in either column.
+    # Plan construction, charged separately from the matmuls above.
     sram_csc = CSCMatrix.from_dense(sram_w, pattern)
     mram_csc = CSCMatrix.from_dense(mram_w, pattern)
     metrics["timing.kernel.plan_build.sram_ms"] = _metric(
@@ -219,9 +218,6 @@ def collect_timing_metrics(repeats: int = DEFAULT_REPEATS
         "timing", "ms")
     metrics["timing.kernel.plan_build.mram_ms"] = _metric(
         _best_of(lambda: KernelPlan.from_csc(mram_csc), repeats),
-        "timing", "ms")
-    metrics["timing.kernel.plan_build.mram_flat_ms"] = _metric(
-        _best_of(lambda: KernelPlan.from_csc(mram_csc).flat_layout, repeats),
         "timing", "ms")
 
     csc_w = _make_sparse(rng, (1024, 64), pattern)
@@ -247,8 +243,8 @@ def collect_corpus_metrics(repeats: int = DEFAULT_REPEATS
                            ) -> Dict[str, Dict[str, object]]:
     """Gather-family throughput over the sparse-pattern corpus.
 
-    One plan per corpus item, raced across :data:`CORPUS_IMPLS` at a
-    fixed batch.  Two timing views per (item, impl): ``ns_per_nnz``
+    One plan per corpus item, timed under each of :data:`CORPUS_IMPLS`
+    at a fixed batch.  Two timing views per (item, impl): ``ns_per_nnz``
     (wall nanoseconds per multiply-accumulate — the size-normalized
     number that is comparable across shapes and densities) and
     ``gflops`` (GFLOP-equivalent/s at 2 ops per MAC, gated lower-only
@@ -297,19 +293,14 @@ def render_corpus_table(metrics: Dict[str, Dict[str, object]]) -> str:
         key = f"timing.corpus.{item.name}"
         if f"{key}.fast.ns_per_nnz" not in metrics:
             continue
-        fast_ns = metrics[f"{key}.fast.ns_per_nnz"]["value"]
-        flat_ns = metrics[f"{key}.flat.ns_per_nnz"]["value"]
         rows.append([
             item.pattern_class, f"{item.shape[0]}x{item.shape[1]}",
             int(metrics[f"corpus.{item.name}.nnz"]["value"]),
-            fast_ns, flat_ns,
+            metrics[f"{key}.fast.ns_per_nnz"]["value"],
             metrics[f"{key}.fast.gflops"]["value"],
-            metrics[f"{key}.flat.gflops"]["value"],
-            f"{fast_ns / flat_ns:.2f}x",
         ])
     return format_table(
-        ["Class", "Shape", "nnz", "fast ns/nnz", "flat ns/nnz",
-         "fast GFLOP/s", "flat GFLOP/s", "flat speedup"],
+        ["Class", "Shape", "nnz", "fast ns/nnz", "fast GFLOP/s"],
         rows,
         title=f"Corpus throughput (gather family, batch {CORPUS_BATCH})")
 

@@ -15,7 +15,6 @@ from .effects import effects, reentrant
 from .bitcell_array import BitCellArray, BitLevelSparsePE
 from .bitserial import from_partials, plane_weight, to_bit_planes
 from .bus import BusConfig, SharedBus, broadcast_vs_unicast
-from .design_space import DesignPoint, explore, pareto_front
 from .fault_injection import (classification_flip_rate, gemm_error_study,
                               inject_weight_bit_flips)
 from .csc import CSCColumn, CSCMatrix, tile_matrix
@@ -54,7 +53,6 @@ __all__ = [
     "BitCellArray", "BitLevelSparsePE",
     "inject_weight_bit_flips", "gemm_error_study", "classification_flip_rate",
     "BusConfig", "SharedBus", "broadcast_vs_unicast",
-    "DesignPoint", "explore", "pareto_front",
     "reentrant", "effects",
     "guarded_by", "holds_no_locks",
 ]

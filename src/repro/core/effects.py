@@ -1,11 +1,11 @@
 """Reentrancy contracts and effect declarations for hot-path functions.
 
-The sharded DSE engine and the future serve layer call harness functions
-from worker processes and (eventually) concurrent requests.  That is only
-sound when the per-call evaluators are *reentrant*: transitively free of
-module-global writes, ambient RNG, and hash-order-dependent iteration —
-so two calls with equal arguments return equal results no matter which
-process runs them, in what order, or what ran before.
+The DSE engine and the serve layer call harness functions from sweeps and
+concurrent requests.  That is only sound when the per-call evaluators are
+*reentrant*: transitively free of module-global writes, ambient RNG, and
+hash-order-dependent iteration — so two calls with equal arguments return
+equal results no matter which thread runs them, in what order, or what
+ran before.
 
 :func:`reentrant` declares that contract on a function.  Like
 :func:`repro.core.widths.width_contract`, it is a no-op at runtime beyond
@@ -44,11 +44,11 @@ _F = TypeVar("_F", bound=Callable)
 
 
 def reentrant(fn: Optional[_F] = None, *, reason: str = "") -> _F:
-    """Declare a function reentrant (stateless-per-call, shard-safe).
+    """Declare a function reentrant (stateless-per-call, thread-safe).
 
     Usable bare (``@reentrant``) or called (``@reentrant(reason=...)``).
-    Returns the function unchanged — no wrapper, so decorated workers
-    remain picklable by the process pool exactly as before.
+    Returns the function unchanged — no wrapper, so a decorated function
+    keeps its identity, signature and picklability.
 
     Rule R8 verifies the declaration: the function must be transitively
     free of ``WRITES_GLOBAL``, ``AMBIENT_RNG`` and

@@ -14,8 +14,8 @@ accelerators are evaluated on:
   locality for any plan-based kernel).
 
 Every item's RNG stream is derived from :data:`CORPUS_SEED` and a hash
-of the item name alone — never from enumeration order or worker count —
-so regeneration is byte-identical serial or sharded, and the committed
+of the item name alone — never from enumeration order — so regeneration
+is byte-identical for any subset or order of items, and the committed
 manifest of content hashes (:data:`repro.corpus.manifest.MANIFEST_PATH`)
 pins the corpus in CI.
 """

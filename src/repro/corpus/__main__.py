@@ -6,7 +6,6 @@
     python -m repro.corpus --out MANIFEST.json     # write the manifest
     python -m repro.corpus --check MANIFEST.json   # regenerate + compare
     python -m repro.corpus --stats stats.txt       # write the stats table
-    python -m repro.corpus --workers 4             # sharded generation
 """
 
 from __future__ import annotations
@@ -34,13 +33,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--stats", default=None, metavar="PATH",
                         help="write the per-item structure table here "
                              "instead of stdout")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="shard generation across N processes "
-                             "(bit-identical to serial; default 1)")
     args = parser.parse_args(argv)
 
     if args.check is not None:
-        problems = check_manifest(args.check, workers=args.workers)
+        problems = check_manifest(args.check)
         if problems:
             print(f"corpus drift against {args.check}:", file=sys.stderr)
             for line in problems:
@@ -49,7 +45,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"corpus matches {args.check} byte-for-byte")
         return 0
 
-    manifest = build_manifest(workers=args.workers)
+    manifest = build_manifest()
     if args.out is not None:
         save_manifest(manifest, args.out)
         print(f"wrote {len(manifest['items'])} item hashes to {args.out}")

@@ -132,8 +132,8 @@ def corpus_items() -> Tuple[CorpusItem, ...]:
 def item_seed(name: str) -> np.random.SeedSequence:
     """The item's seed: root seed + a stable hash of the name alone.
 
-    Independent of enumeration order and worker sharding, so serial and
-    pooled generation produce identical matrices.
+    Independent of enumeration order, so generating any subset of items,
+    in any order, produces identical matrices.
     """
     digest = hashlib.sha256(name.encode("ascii")).digest()
     entropy = int.from_bytes(digest[:8], "big")
@@ -141,7 +141,7 @@ def item_seed(name: str) -> np.random.SeedSequence:
 
 
 @reentrant(reason="corpus items must be a function of (seed, name) alone "
-                  "so serial and sharded regeneration stay byte-identical")
+                  "so every regeneration stays byte-identical")
 def generate(item: CorpusItem) -> np.ndarray:
     """Generate one corpus matrix (int64 storage, int8-range values)."""
     classes = pattern_classes()

@@ -6,20 +6,14 @@ job regenerates the corpus from the pinned seed and ``cmp``s the result
 against the committed copy — any drift in numpy, the generators or the
 seed derivation fails the build instead of silently invalidating the
 per-pattern benchmark baselines.
-
-Generation shards across worker processes exactly like the DSE engine
-(order-preserving ``pool.map`` over a pure top-level worker, serial
-fallback when no pool can be created), so ``--workers N`` is
-bit-identical to serial.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -42,11 +36,10 @@ def content_hash(matrix: np.ndarray) -> str:
     return h.hexdigest()
 
 
-@reentrant(reason="the process-pool worker entry point: entries must be "
-                  "a function of the item alone so workers=1 and "
-                  "workers=N manifests are byte-identical")
+@reentrant(reason="manifest entries must be a function of the item alone "
+                  "so every regeneration is byte-identical")
 def _describe_item(item: CorpusItem) -> Dict[str, object]:
-    """Worker entry point (module-level: picklable by the process pool)."""
+    """One item's manifest entry: structure statistics plus content hash."""
     matrix = generate(item)
     nnz = int(np.count_nonzero(matrix))
     counts = np.count_nonzero(matrix, axis=0)
@@ -62,29 +55,12 @@ def _describe_item(item: CorpusItem) -> Dict[str, object]:
     }
 
 
-def _describe_many(items: Sequence[CorpusItem],
-                   workers: int) -> List[Dict[str, object]]:
-    """Describe items in input order, sharded when ``workers > 1``."""
-    if workers <= 1 or len(items) <= 1:
-        return [_describe_item(item) for item in items]
-    chunksize = max(1, len(items) // (workers * 4))
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers) as pool:
-            return list(pool.map(_describe_item, items,
-                                 chunksize=chunksize))
-    except (OSError, concurrent.futures.process.BrokenProcessPool,
-            PermissionError):
-        # No usable process pool here — same results, just serial.
-        return [_describe_item(item) for item in items]
-
-
-def build_manifest(workers: int = 1) -> Dict[str, object]:
+def build_manifest() -> Dict[str, object]:
     """Generate the full corpus and return its manifest document."""
     return {
         "schema": MANIFEST_SCHEMA,
         "seed": CORPUS_SEED,
-        "items": _describe_many(corpus_items(), workers),
+        "items": [_describe_item(item) for item in corpus_items()],
     }
 
 
@@ -106,7 +82,7 @@ def load_manifest(path: str) -> Dict[str, object]:
         return json.load(f)
 
 
-def check_manifest(path: str, workers: int = 1) -> List[str]:
+def check_manifest(path: str) -> List[str]:
     """Regenerate the corpus and diff against the committed manifest.
 
     Returns a list of human-readable mismatch lines (empty == clean).
@@ -114,7 +90,7 @@ def check_manifest(path: str, workers: int = 1) -> List[str]:
     reordering, stat changes and hash changes all count.
     """
     committed = render_manifest(load_manifest(path))
-    fresh = build_manifest(workers=workers)
+    fresh = build_manifest()
     if committed == render_manifest(fresh):
         return []
     by_name = {e["name"]: e for e in load_manifest(path).get("items", [])}

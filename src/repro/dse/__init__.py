@@ -1,20 +1,18 @@
-"""``repro.dse`` — sharded, cached design-space exploration.
+"""``repro.dse`` — cached design-space exploration.
 
 The production-scale sweep engine over the hybrid accelerator's levers
 (ROADMAP item 1): a declarative :class:`SweepSpec` enumerates the cross
 product of (N:M pattern x bus width x MRAM geometry x precision x device
 corner), each point is evaluated by the reentrant analytical models behind
-the fig7/fig8 harnesses, evaluation shards across worker processes with a
-serial fallback, results land in a content-hash disk cache so repeated
-sweeps are incremental, and everything reduces to a deterministic Pareto
-frontier over (area, inference power, training EDP, density).
+the fig7/fig8 harnesses, results land in a content-hash disk cache so
+repeated sweeps are incremental, and everything reduces to a deterministic
+Pareto frontier over (area, inference power, training EDP, density).
 
 Determinism guarantees (enforced by ``tests/test_dse_*.py``):
 
-* ``workers=1`` and ``workers=N`` produce byte-identical frontier JSON;
 * a warm (fully cached) run reproduces the cold run exactly;
-* the frontier is a function of the config *set* — input order, shard
-  completion order, and duplicate configs never change it;
+* the frontier is a function of the config *set* — input order and
+  duplicate configs never change it;
 * duplicated metric vectors keep exactly one canonical representative.
 
 Entry point: ``python -m repro.dse`` (or ``python -m repro dse``).

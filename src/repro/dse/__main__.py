@@ -1,9 +1,9 @@
-"""``python -m repro.dse`` — the sharded, cached design-space sweep.
+"""``python -m repro.dse`` — the cached design-space sweep.
 
 .. code-block:: bash
 
-    python -m repro.dse                          # default preset, serial
-    python -m repro.dse --preset full --workers 8
+    python -m repro.dse                          # default preset
+    python -m repro.dse --preset full
     python -m repro.dse --preset smoke --out frontier.json --csv sweep.csv
     python -m repro.dse --patterns 1:4,1:8 --bus-bits 64,128,256
     python -m repro.dse --no-cache               # always recompute
@@ -56,7 +56,7 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dse",
-        description="Sharded, cached design-space exploration over the "
+        description="Cached design-space exploration over the "
                     "hybrid accelerator's levers, reduced to Pareto "
                     "frontiers (area/power/EDP/density).")
     parser.add_argument("--preset", choices=sorted(PRESETS),
@@ -73,9 +73,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--devices", default=None,
                         metavar="nominal,mram-fast-write",
                         help="override the device-corner lever")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes (1 = serial; results are "
-                             "bit-identical either way)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help=f"record cache root (default: "
@@ -110,7 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache = DiskCache(args.cache_dir, refresh=args.refresh)
 
     begin_trace(args.trace)
-    result = run_sweep(spec=spec, workers=args.workers, cache=cache)
+    result = run_sweep(spec=spec, cache=cache)
     finish_trace(args.trace)
 
     print(render_frontier(result))

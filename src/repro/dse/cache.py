@@ -11,8 +11,9 @@ never returned as a result:
 * checksum mismatch (any byte of the record bent) -> rejected
 * record schema drift (format upgraded)           -> rejected
 
-Writes are atomic (tmp file + ``os.replace``) so a crashed sweep can never
-leave a half-written entry that passes validation.
+Writes are atomic (a per-call unique tmp file + ``os.replace``) so a
+crashed sweep can never leave a half-written entry that passes validation,
+and concurrent stores of the same key never share a tmp file.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 import json
 import os
 import pathlib
+import tempfile
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -47,15 +49,12 @@ class DiskCache:
     """Keyed record store with hit/miss/rejection accounting.
 
     One instance is shared by every request-handler thread behind the
-    serve layer's batching queue, so the counters are guarded by
-    ``_lock`` (declared above, verified by lint rule R11).  File IO
-    stays *outside* the lock (rule R12): entry bytes are self-validating
-    and writes are atomic ``tmp + os.replace``, so the lock only has to
-    make the accounting consistent, never the files.
-
-    The cache never crosses a process boundary — sweep shards receive
-    bare config dicts, not the cache — so holding an (unpicklable) lock
-    here does not conflict with rule R10 worker-shippability.
+    serve layer's batching queue and by its sweep-job threads, so the
+    counters are guarded by ``_lock`` (declared above, verified by lint
+    rule R11).  File IO stays *outside* the lock (rule R12): entry bytes
+    are self-validating and writes are atomic ``tmp + os.replace`` with
+    a tmp name unique to each call, so the lock only has to make the
+    accounting consistent, never the files.
     """
 
     def __init__(self, root: os.PathLike = DEFAULT_CACHE_DIR,
@@ -133,15 +132,16 @@ class DiskCache:
         return record, False
 
     # ----------------------------------------------------------------- write
-    @reentrant(reason="atomic tmp+replace write: safe under concurrent "
-                      "stores of the same key from racing shards")
+    @reentrant(reason="atomic write through a per-call unique tmp file: "
+                      "concurrent stores of the same key from racing "
+                      "threads each replace a complete entry")
     def store(self, key: str, record: Dict[str, object]) -> None:
         """Write ``record`` under ``key`` atomically.
 
         An ``OSError`` (full disk, unwritable or non-directory root) is
         counted in ``store_errors`` and re-raised, and the temp file is
         removed, so a failed write leaves neither a partial entry nor a
-        stray ``*.tmp<pid>`` behind.
+        stray ``*.tmp*`` file behind.
         """
         if not self.enabled:
             return
@@ -153,22 +153,23 @@ class DiskCache:
         }
         text = json.dumps(entry, indent=2, sort_keys=True) + "\n"
         path = self.path_for(key)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        replaced = False
+        tmp: Optional[str] = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as fh:
+            fd, tmp = tempfile.mkstemp(dir=path.parent,
+                                       prefix=path.name + ".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)
-            replaced = True
+            tmp = None
         except OSError:
             with self._lock:
                 self.store_errors += 1
             raise
         finally:
-            if not replaced:
+            if tmp is not None:
                 with contextlib.suppress(OSError):
-                    tmp.unlink(missing_ok=True)
+                    os.unlink(tmp)
         with self._lock:
             self.stored += 1
 

@@ -1,28 +1,20 @@
-"""The sharded sweep engine: enumerate -> cache -> evaluate -> reduce.
+"""The sweep engine: enumerate -> cache -> evaluate -> reduce.
 
 Execution model:
 
 * Configs are normalized and content-hashed up front, in spec enumeration
-  order — that order is the merge order, so results are independent of how
-  shards complete.
-* Cache lookups run first; only misses are evaluated.
-* Evaluation shards across worker processes
-  (``concurrent.futures.ProcessPoolExecutor``) when ``workers > 1``, with
-  an automatic serial fallback when a pool cannot be created (sandboxed
-  environments) or breaks.  ``pool.map`` preserves input order and the
-  evaluator is a pure function, so ``workers=1`` and ``workers=N`` produce
-  bit-identical results.
-* A shard whose evaluator raises yields a per-config *error record*
-  (exception type + message) instead of sinking the sweep; serial and
-  pooled paths build that record through the same code path, so they
-  behave identically.
+  order — that order is the merge order.
+* Cache lookups run first; only misses are evaluated, serially in input
+  order (a process pool measured slower than serial on the full sweep,
+  so there is one evaluation path).
+* A config whose evaluator raises yields a per-config *error record*
+  (exception type + message) instead of sinking the sweep.
 * Reduction (:func:`repro.dse.pareto.pareto_reduce`) and the exported
   frontier document are functions of the record set alone.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,17 +31,18 @@ SWEEP_SCHEMA = "repro.dse/sweep/1"
 FRONTIER_SCHEMA = "repro.dse/frontier/1"
 
 
-@reentrant(reason="the process-pool worker entry point: any hidden state "
-                  "here would make workers=1 and workers=N diverge")
+@reentrant(reason="the per-config evaluation step: any hidden state here "
+                  "would make a record depend on which configs were "
+                  "evaluated before it")
 def _evaluate_record(config: Dict[str, object]) -> Dict[str, object]:
-    """Worker entry point (module-level: picklable by the process pool).
+    """Evaluate one config into a record.
 
     Never raises on a bad config: failures become error records carrying
     the exception type and message, keyed like any other result.
     """
     try:
         return evaluate_config(config)
-    except Exception as exc:  # noqa: BLE001 — per-shard fault isolation
+    except Exception as exc:  # noqa: BLE001 — per-config fault isolation
         return {
             "schema": RECORD_SCHEMA,
             "key": config_key(normalize_config(config)),
@@ -58,38 +51,20 @@ def _evaluate_record(config: Dict[str, object]) -> Dict[str, object]:
         }
 
 
-def _evaluate_many(configs: Sequence[Dict[str, object]],
-                   workers: int) -> List[Dict[str, object]]:
-    """Evaluate configs in input order, sharded when ``workers > 1``."""
-    if workers <= 1 or len(configs) <= 1:
-        return [_evaluate_record(cfg) for cfg in configs]
-    chunksize = max(1, len(configs) // (workers * 4))
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers) as pool:
-            return list(pool.map(_evaluate_record, configs,
-                                 chunksize=chunksize))
-    except (OSError, concurrent.futures.process.BrokenProcessPool,
-            PermissionError):
-        # No usable process pool here — same results, just serial.
-        return [_evaluate_record(cfg) for cfg in configs]
-
-
-@holds_no_locks(reason="file IO plus a possibly process-pooled evaluation "
-                       "pass: callers must never enter this under a lock")
+@holds_no_locks(reason="file IO plus a blocking evaluation pass: callers "
+                       "must never enter this under a lock")
 @reentrant(reason="the cache-through evaluation core shared by run_sweep "
                   "and the serve layer's batching queue: results must be "
                   "a function of the (key, config) list and cache bytes "
                   "alone, never of who called it or in which thread")
 def evaluate_batch(keyed: Sequence[Tuple[str, Dict[str, object]]],
-                   workers: int = 1,
                    cache: Optional[DiskCache] = None
                    ) -> Tuple[Dict[str, Dict[str, object]], Dict[str, str]]:
     """Evaluate already-normalized, deduplicated ``(key, config)`` pairs.
 
-    The single engine call behind both a sweep shard and a coalesced
-    serve batch: cache lookups first, one (optionally sharded)
-    evaluation pass over the misses in input order, successful fresh
+    The single engine call behind both a sweep and a coalesced serve
+    batch: cache lookups first, one evaluation pass over the misses in
+    input order, successful fresh
     records stored back (a failed store leaves that record uncached).
     Returns ``(records, served)`` where ``records`` maps key -> record
     and ``served`` maps key -> ``"hit"`` / ``"miss"`` (cache
@@ -109,8 +84,8 @@ def evaluate_batch(keyed: Sequence[Tuple[str, Dict[str, object]]],
             else:
                 pending.append((key, cfg))
                 served[key] = "miss"
-    with tracer.span("dse.evaluate", pending=len(pending), workers=workers):
-        fresh = _evaluate_many([cfg for _, cfg in pending], workers)
+    with tracer.span("dse.evaluate", pending=len(pending)):
+        fresh = [_evaluate_record(cfg) for _, cfg in pending]
     for (key, _), record in zip(pending, fresh):
         records[key] = record
         if cache is not None and "error" not in record:
@@ -137,7 +112,7 @@ def evaluate_one(config: Mapping[str, object],
     """
     cfg = normalize_config(config)
     key = config_key(cfg)
-    records, served = evaluate_batch([(key, cfg)], workers=1, cache=cache)
+    records, served = evaluate_batch([(key, cfg)], cache=cache)
     return records[key], served[key]
 
 
@@ -145,7 +120,6 @@ def evaluate_one(config: Mapping[str, object],
                        "must be entered lock-free for the same reason")
 def run_sweep(spec: Optional[SweepSpec] = None,
               configs: Optional[Sequence[Mapping[str, object]]] = None,
-              workers: int = 1,
               cache: Optional[DiskCache] = None) -> Dict[str, object]:
     """Run one sweep; returns the full sweep document.
 
@@ -168,8 +142,8 @@ def run_sweep(spec: Optional[SweepSpec] = None,
         seen_keys.add(key)
         keyed.append((key, cfg))
 
-    with tracer.span("dse.sweep", configs=len(keyed), workers=workers) as sp:
-        records, served = evaluate_batch(keyed, workers=workers, cache=cache)
+    with tracer.span("dse.sweep", configs=len(keyed)) as sp:
+        records, served = evaluate_batch(keyed, cache=cache)
         evaluated = sum(1 for origin in served.values() if origin == "miss")
 
         # Merge in enumeration order — never in completion order.
@@ -184,7 +158,6 @@ def run_sweep(spec: Optional[SweepSpec] = None,
     return {
         "schema": SWEEP_SCHEMA,
         "spec": spec.as_dict() if spec is not None else None,
-        "workers": workers,
         "configs": len(keyed),
         "records": ordered,
         "errors": errors,
@@ -196,9 +169,9 @@ def run_sweep(spec: Optional[SweepSpec] = None,
 def frontier_doc(result: Mapping[str, object]) -> Dict[str, object]:
     """The exportable frontier: a pure function of the evaluated set.
 
-    Deliberately excludes worker count, cache statistics, and anything
-    else machine- or run-dependent, so ``--workers 1`` and ``--workers N``
-    (and cold vs warm cache) runs serialize to byte-identical JSON.
+    Deliberately excludes cache statistics and anything else machine- or
+    run-dependent, so cold- and warm-cache runs serialize to
+    byte-identical JSON.
     """
     frontier = list(result["frontier"])
     return {

@@ -5,9 +5,9 @@ evaluation: build the technology variant the config names, instantiate the
 hybrid design at the config's pattern/bus width, and charge the paper
 workload through the same area/latency/energy models the harnesses use.
 Pure function of its input — no global state, no clocks, no randomness —
-so shards evaluated in any process, in any order, produce bit-identical
-records, and the content-hash cache can treat the record as a function of
-the config alone.
+so configs evaluated in any order, by a sweep or by a serve thread,
+produce bit-identical records, and the content-hash cache can treat the
+record as a function of the config alone.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ METRIC_KEYS = ("area_mm2", "density", "inference_latency_s",
                "inference_power_mw", "training_edp_js", "training_latency_s")
 
 #: Per-process workload cache: paper-scale extraction is cheap but not free,
-#: and a sharded sweep evaluates thousands of configs per worker.  Written
+#: and a sweep evaluates thousands of configs.  Written
 #: only under ``_WORKLOADS_LOCK`` — concurrent serve threads reach this
 #: memo through the batching worker (lint rule R14 tracks the path).
 _WORKLOADS: Dict[str, Workload] = {}
@@ -53,7 +53,8 @@ def get_workload(name: str) -> Workload:
         return _WORKLOADS[name]
 
 
-@reentrant(reason="sharded sweeps build tech variants in every worker")
+@reentrant(reason="every config evaluation, sweep or served, builds its "
+                  "tech variant here")
 def build_tech(config: Mapping[str, object]) -> TechnologyModel:
     """The technology variant a config names, from the Table 2 defaults.
 
@@ -105,13 +106,13 @@ def _tech_variant(rows: int, bits: int, device: str) -> TechnologyModel:
 
 
 @reentrant(reason="the per-point evaluator: must be a pure function of "
-                  "the config so shards merge deterministically and the "
+                  "the config so sweeps merge deterministically and the "
                   "cache can key records by config content alone")
 def evaluate_config(config: Mapping[str, object]) -> Dict[str, object]:
     """Evaluate one design config; returns the canonical record dict.
 
     Raises on invalid configs — the engine turns exceptions into
-    per-config error records so one bad shard never sinks a sweep.
+    per-config error records so one bad config never sinks a sweep.
     """
     cfg = normalize_config(config)
     pattern = NMPattern.parse(str(cfg["pattern"]))

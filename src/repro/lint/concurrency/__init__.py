@@ -1,10 +1,10 @@
 """Static concurrency verifier: rules R11-R14 (``--concurrency``).
 
 One rung above the effects verifier on the repo's static-analysis
-ladder: where :mod:`repro.lint.effects` certifies the *process*-parallel
-paths (reentrancy for pool workers), this package certifies the
-*thread*-parallel ones — the serving stack's locks, condition variables,
-events and worker threads.
+ladder: where :mod:`repro.lint.effects` certifies that the evaluators are
+reentrant (no hidden state shared between calls), this package certifies
+the *thread*-parallel machinery around them — the serving stack's locks,
+condition variables, events and worker threads.
 
 Layout mirrors :mod:`repro.lint.effects`:
 

@@ -42,7 +42,6 @@ SYNC_CONSTRUCTORS = {
     "Barrier": "barrier",
     "Thread": "thread",
     "ThreadPoolExecutor": "executor",
-    "ProcessPoolExecutor": "executor",
 }
 
 #: Sync kinds that act as mutexes (acquired by ``with``/``acquire``).

@@ -4,7 +4,7 @@ A stdlib-only HTTP/JSON front end (ROADMAP item 2) turning the
 reproduction's reentrant library calls into a service:
 
 * ``POST /v1/evaluate`` — one design config; requests arriving within a
-  batching window coalesce into a single sharded engine call
+  batching window coalesce into a single engine call
   (:mod:`repro.serve.batching`), and responses are served from the same
   content-hash :class:`~repro.dse.cache.DiskCache` the CLI sweeps use —
   one cache, keyed by canonical-JSON SHA-256, warmed from either side.

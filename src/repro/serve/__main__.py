@@ -4,7 +4,7 @@
 
     python -m repro.serve --port 8321                 # default cache
     python -m repro.serve --port 0                    # pick a free port
-    python -m repro.serve --window-ms 50 --workers 4  # wider batches
+    python -m repro.serve --window-ms 50              # wider batches
     python -m repro.serve --no-cache                  # always recompute
 
     curl -s -X POST localhost:8321/v1/evaluate -d '{
@@ -29,7 +29,6 @@ def build_app(args: argparse.Namespace) -> ServeApp:
         cache = DiskCache(args.cache_dir, refresh=args.refresh)
     return ServeApp(cache=cache,
                     window_s=args.window_ms / 1000.0,
-                    engine_workers=args.workers,
                     job_workers=args.job_workers,
                     max_jobs=args.max_jobs)
 
@@ -48,9 +47,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="MS",
                         help="evaluate-batching window in milliseconds "
                              "(default: 25)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="engine worker processes per coalesced batch "
-                             "(default: 1)")
     parser.add_argument("--job-workers", type=int, default=2, metavar="N",
                         help="concurrent sweep/experiment jobs (default: 2)")
     parser.add_argument("--max-jobs", type=int, default=1024, metavar="N",

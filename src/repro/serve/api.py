@@ -63,8 +63,7 @@ ROUTES = (
 def _run_sweep_job(app: "ServeApp", job: Job) -> Dict[str, object]:
     """Job runner: one sweep through the shared engine + cache."""
     spec = build_sweep_spec(job.request)
-    result = run_sweep(spec=spec, workers=int(job.request["workers"]),
-                       cache=app.cache)
+    result = run_sweep(spec=spec, cache=app.cache)
     doc: Dict[str, object] = {
         "configs": result["configs"],
         "errors": len(result["errors"]),
@@ -94,13 +93,11 @@ class ServeApp:
 
     def __init__(self, cache: Optional[DiskCache] = None,
                  window_s: float = DEFAULT_WINDOW_S,
-                 engine_workers: int = 1,
                  job_workers: int = 2,
                  max_body_bytes: int = MAX_BODY_BYTES,
                  max_jobs: int = DEFAULT_MAX_JOBS):
         self.cache = cache if cache is not None else DiskCache()
-        self.queue = BatchingQueue(cache=self.cache, window_s=window_s,
-                                   workers=engine_workers)
+        self.queue = BatchingQueue(cache=self.cache, window_s=window_s)
         self.jobs = JobStore(workers=job_workers, max_jobs=max_jobs)
         self.max_body_bytes = max_body_bytes
         self._lock = threading.Lock()

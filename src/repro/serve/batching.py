@@ -1,7 +1,7 @@
 """The coalescing batch queue behind ``POST /v1/evaluate``.
 
 Evaluate requests arriving within one *batching window* are coalesced
-into a **single sharded engine call** (:func:`repro.dse.engine.
+into a **single engine call** (:func:`repro.dse.engine.
 evaluate_batch`): the first submission opens a window, every request
 landing inside it joins the batch, identical configs (same content-hash
 key) collapse to one evaluation, and each waiting client gets its own
@@ -84,12 +84,10 @@ class BatchingQueue:
 
     def __init__(self, cache: Optional[DiskCache] = None,
                  window_s: float = DEFAULT_WINDOW_S,
-                 workers: int = 1,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  submit_timeout_s: float = DEFAULT_SUBMIT_TIMEOUT_S):
         self.cache = cache
         self.window_s = max(0.0, window_s)
-        self.workers = max(1, workers)
         self.max_batch = max(1, max_batch)
         self.submit_timeout_s = max(0.001, submit_timeout_s)
         self._cond = threading.Condition()
@@ -183,8 +181,8 @@ class BatchingQueue:
             with use_tracer(tracer):
                 with tracer.span("serve.batch", requests=len(batch),
                                  unique=len(keyed)):
-                    records, served = evaluate_batch(
-                        keyed, workers=self.workers, cache=self.cache)
+                    records, served = evaluate_batch(keyed,
+                                                     cache=self.cache)
             failure: Optional[Dict[str, object]] = None
         except Exception as exc:  # noqa: BLE001 — waiters must be released
             records, served = {}, {}

@@ -45,10 +45,6 @@ EXPERIMENT_NAMES = ("fig7", "fig8", "table2")
 SWEEP_LEVERS = ("patterns", "bus_bits", "mram_rows", "weight_bits",
                 "devices")
 
-#: Cap on per-request engine workers (one HTTP client must not be able to
-#: fork an unbounded process pool on the server).
-MAX_SWEEP_WORKERS = 16
-
 
 class SchemaError(Exception):
     """A request that fails validation; carries the HTTP status + doc."""
@@ -136,14 +132,13 @@ def validate_evaluate_request(body: object) -> Dict[str, object]:
 def validate_sweep_request(body: object) -> Dict[str, object]:
     """Normalize a ``POST /v1/sweep`` body.
 
-    Shape: ``{"preset": "smoke", "overrides": {lever: [...]}, "workers":
-    1, "records": false}`` — the preset names a base
+    Shape: ``{"preset": "smoke", "overrides": {lever: [...]},
+    "records": false}`` — the preset names a base
     :class:`~repro.dse.spec.SweepSpec` and the overlay replaces whole
     levers, exactly like the ``python -m repro.dse`` flags.
     """
     request = _require_object(body, "request")
-    _reject_unknown(request, ("preset", "overrides", "workers", "records"),
-                    "request")
+    _reject_unknown(request, ("preset", "overrides", "records"), "request")
     preset = request.get("preset", "smoke")
     if not isinstance(preset, str) or preset not in PRESETS:
         raise SchemaError("bad-request",
@@ -162,14 +157,7 @@ def validate_sweep_request(body: object) -> Dict[str, object]:
                               f"override {lever!r} must be a non-empty "
                               "array", field=lever)
         clean_overrides[lever] = list(values)
-    workers = request.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) \
-            or not 1 <= workers <= MAX_SWEEP_WORKERS:
-        raise SchemaError("bad-request",
-                          f"'workers' must be an integer in "
-                          f"1..{MAX_SWEEP_WORKERS}", field="workers")
     normalized = {"preset": preset, "overrides": clean_overrides,
-                  "workers": workers,
                   "records": _bool_field(request, "records")}
     build_sweep_spec(normalized)      # raises SchemaError on bad levers
     return normalized

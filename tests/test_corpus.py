@@ -6,8 +6,8 @@ Three layers of guarantees, in order of severity:
    exact N:M compliance per aligned group, exact magnitude-pruned
    counts, aligned block support, int8-range non-zero values.
 2. **Determinism**: matrices and manifests are a pure function of the
-   pinned seed and the item name — stable across calls, enumeration
-   order, and serial-vs-sharded generation.
+   pinned seed and the item name — stable across calls and enumeration
+   order.
 3. **The committed pin**: the repo's checked-in manifest regenerates
    byte-for-byte, and the CLI's exit codes distinguish clean (0) from
    drifted (2).
@@ -136,12 +136,6 @@ class TestDeterminism:
     def test_manifest_stable_across_in_process_builds(self):
         assert render_manifest(build_manifest()) == \
             render_manifest(build_manifest())
-
-    @pytest.mark.slow
-    def test_manifest_stable_serial_vs_sharded(self):
-        serial = render_manifest(build_manifest(workers=1))
-        sharded = render_manifest(build_manifest(workers=2))
-        assert serial == sharded
 
 
 class TestCommittedManifest:

@@ -8,6 +8,7 @@ cache-less run over the same spec.
 import errno
 import json
 import os
+import threading
 
 import pytest
 
@@ -22,14 +23,14 @@ SPEC = SweepSpec(patterns=("1:8", "1:4"), bus_bits=(64, 128))
 @pytest.fixture(scope="module")
 def cold_result():
     """The cache-less oracle for SPEC."""
-    return run_sweep(spec=SPEC, workers=1)
+    return run_sweep(spec=SPEC)
 
 
 @pytest.fixture()
 def warm_cache(tmp_path):
     """A cache pre-populated by one cold run over SPEC."""
     cache = DiskCache(tmp_path / "dse_cache")
-    run_sweep(spec=SPEC, workers=1, cache=cache)
+    run_sweep(spec=SPEC, cache=cache)
     return DiskCache(tmp_path / "dse_cache")
 
 
@@ -63,7 +64,7 @@ class TestRoundTrip:
 class TestColdWarmIdentity:
     def test_warm_run_hits_every_config_and_matches_cold(
             self, warm_cache, cold_result):
-        warm = run_sweep(spec=SPEC, workers=1, cache=warm_cache)
+        warm = run_sweep(spec=SPEC, cache=warm_cache)
         assert warm_cache.hits == SPEC.size
         assert warm_cache.misses == 0
         assert warm["records"] == cold_result["records"]
@@ -73,14 +74,14 @@ class TestColdWarmIdentity:
     def test_cold_cached_run_matches_cacheless_oracle(
             self, tmp_path, cold_result):
         cache = DiskCache(tmp_path / "c")
-        result = run_sweep(spec=SPEC, workers=1, cache=cache)
+        result = run_sweep(spec=SPEC, cache=cache)
         assert cache.hits == 0 and cache.misses == SPEC.size
         assert cache.stored == SPEC.size
         assert result["records"] == cold_result["records"]
 
     def test_refresh_recomputes_but_refills(self, warm_cache, cold_result):
         refreshing = DiskCache(warm_cache.root, refresh=True)
-        result = run_sweep(spec=SPEC, workers=1, cache=refreshing)
+        result = run_sweep(spec=SPEC, cache=refreshing)
         assert refreshing.hits == 0
         assert refreshing.misses == SPEC.size
         assert refreshing.stored == SPEC.size
@@ -90,7 +91,7 @@ class TestColdWarmIdentity:
                                                  tmp_path):
         cache = NullCache()
         cache.root = tmp_path / "never-created"
-        result = run_sweep(spec=SPEC, workers=1, cache=cache)
+        result = run_sweep(spec=SPEC, cache=cache)
         assert result["records"] == cold_result["records"]
         assert cache.hits == 0 and cache.stored == 0
         assert not cache.root.exists()
@@ -114,7 +115,7 @@ class TestCorruptionRecovery:
     def test_unreadable_entry_is_rejected_and_recomputed(
             self, warm_cache, cold_result, mutate):
         self.corrupt_one(warm_cache, mutate)
-        result = run_sweep(spec=SPEC, workers=1, cache=warm_cache)
+        result = run_sweep(spec=SPEC, cache=warm_cache)
         assert warm_cache.rejected == 1
         assert warm_cache.hits == SPEC.size - 1
         assert warm_cache.misses == 1
@@ -126,7 +127,7 @@ class TestCorruptionRecovery:
         entry = json.loads(path.read_text())
         entry["record"]["metrics"]["area_mm2"] = 0.001   # bent result
         path.write_text(json.dumps(entry))
-        result = run_sweep(spec=SPEC, workers=1, cache=warm_cache)
+        result = run_sweep(spec=SPEC, cache=warm_cache)
         assert warm_cache.rejected == 1
         assert result["records"] == cold_result["records"]
 
@@ -141,7 +142,7 @@ class TestCorruptionRecovery:
 
     def test_recomputation_repairs_the_entry(self, warm_cache, cold_result):
         path = self.corrupt_one(warm_cache, lambda p: p.write_text("{"))
-        run_sweep(spec=SPEC, workers=1, cache=warm_cache)
+        run_sweep(spec=SPEC, cache=warm_cache)
         # The rewritten entry validates again.
         fresh = DiskCache(warm_cache.root)
         assert fresh.lookup(path.stem) is not None
@@ -166,7 +167,7 @@ class TestEntrySchema:
         bad = normalize_config({"pattern": "9:4", "bus_bits": 128,
                                 "mram_rows": 1024, "weight_bits": 8,
                                 "device": "nominal"})
-        result = run_sweep(configs=[bad], workers=1, cache=cache)
+        result = run_sweep(configs=[bad], cache=cache)
         assert len(result["errors"]) == 1
         assert cache.stored == 0
         assert not entry_paths(cache)
@@ -211,13 +212,45 @@ class TestStoreFailures:
                                            cold_result):
         cache = DiskCache(tmp_path / "c")
         self.fail_replace(monkeypatch)
-        result = run_sweep(spec=SPEC, workers=1, cache=cache)
+        result = run_sweep(spec=SPEC, cache=cache)
         assert result["records"] == cold_result["records"]
         assert (dumps_canonical(frontier_doc(result))
                 == dumps_canonical(frontier_doc(cold_result)))
         assert cache.store_error_count() == SPEC.size
         assert cache.stats()["stored"] == 0
         assert list(cache.root.iterdir()) == []
+
+    def test_same_key_stores_from_two_threads_do_not_collide(
+            self, tmp_path, monkeypatch, cold_result):
+        """Both threads write their tmp file before either replaces it."""
+        cache = DiskCache(tmp_path / "c")
+        record = cold_result["records"][0]
+        both_written = threading.Barrier(2, timeout=10)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            both_written.wait()
+            real_replace(src, dst)
+        monkeypatch.setattr("repro.dse.cache.os.replace", replace)
+
+        failures = []
+
+        def store():
+            try:
+                cache.store(record["key"], record)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                failures.append(exc)
+        threads = [threading.Thread(target=store) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+            assert not thread.is_alive()
+
+        assert failures == []
+        assert cache.store_error_count() == 0 and cache.stored == 2
+        assert DiskCache(tmp_path / "c").lookup(record["key"]) == record
+        assert list(cache.root.glob("*.tmp*")) == []
 
     def test_stats_keys_are_unchanged(self, tmp_path):
         assert sorted(DiskCache(tmp_path / "c").stats()) == [

@@ -1,8 +1,7 @@
-"""Sweep-engine determinism, worker-failure robustness, and the CLI.
+"""Sweep-engine determinism, per-config fault isolation, and the CLI.
 
-The headline guarantee under test: ``--workers 1`` and ``--workers N``
-produce byte-identical frontier JSON, and a warm (fully cached) run
-reproduces the cold one exactly.
+The headline guarantee under test: the frontier JSON is a function of the
+config set alone — input order, duplicates and run state never change it.
 """
 
 import json
@@ -22,38 +21,9 @@ GOOD_CONFIG = {"pattern": "1:4", "bus_bits": 128, "mram_rows": 1024,
                "weight_bits": 8, "device": "nominal"}
 
 
-class TestWorkerParity:
-    def test_serial_and_pool_frontiers_are_byte_identical(self):
-        serial = run_sweep(spec=SPEC, workers=1)
-        pooled = run_sweep(spec=SPEC, workers=4)
-        assert serial["records"] == pooled["records"]
-        assert dumps_canonical(frontier_doc(serial)) == \
-            dumps_canonical(frontier_doc(pooled))
-
-    def test_worker_count_is_excluded_from_the_frontier_doc(self):
-        result = run_sweep(spec=SPEC, workers=3)
-        doc = frontier_doc(result)
-        text = dumps_canonical(doc)
-        assert "workers" not in doc
-        assert "cache" not in doc
-        assert '"workers"' not in text
-
-    def test_pool_falls_back_to_serial_when_unavailable(self, monkeypatch):
-        import repro.dse.engine as engine
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no process pool in this sandbox")
-
-        monkeypatch.setattr(engine.concurrent.futures,
-                            "ProcessPoolExecutor", broken_pool)
-        oracle = run_sweep(spec=SPEC, workers=1)
-        fallback = run_sweep(spec=SPEC, workers=4)
-        assert fallback["records"] == oracle["records"]
-
-
 class TestFaultIsolation:
     def test_failing_config_becomes_an_error_record(self):
-        result = run_sweep(configs=[GOOD_CONFIG, BAD_CONFIG], workers=1)
+        result = run_sweep(configs=[GOOD_CONFIG, BAD_CONFIG])
         assert result["configs"] == 2
         assert len(result["errors"]) == 1
         error = result["errors"][0]["error"]
@@ -62,16 +32,8 @@ class TestFaultIsolation:
         assert len(result["frontier"]) == 1
         assert result["frontier"][0]["config"]["pattern"] == "1:4"
 
-    def test_serial_and_pool_agree_on_error_records(self):
-        configs = [GOOD_CONFIG, BAD_CONFIG,
-                   dict(GOOD_CONFIG, bus_bits=64)]
-        serial = run_sweep(configs=configs, workers=1)
-        pooled = run_sweep(configs=configs, workers=3)
-        assert serial["records"] == pooled["records"]
-        assert serial["errors"] == pooled["errors"]
-
     def test_all_failing_sweep_has_empty_frontier(self):
-        result = run_sweep(configs=[BAD_CONFIG], workers=1)
+        result = run_sweep(configs=[BAD_CONFIG])
         assert result["frontier"] == []
         assert len(result["errors"]) == 1
 
@@ -79,28 +41,33 @@ class TestFaultIsolation:
 class TestMergeDeterminism:
     def test_input_order_does_not_change_the_frontier_doc(self):
         configs = SPEC.configs()
-        forward = run_sweep(configs=configs, workers=1)
-        backward = run_sweep(configs=list(reversed(configs)), workers=1)
+        forward = run_sweep(configs=configs)
+        backward = run_sweep(configs=list(reversed(configs)))
         assert dumps_canonical(frontier_doc(forward)) == \
             dumps_canonical(frontier_doc(backward))
 
     def test_duplicate_configs_collapse_to_one_evaluation(self):
         result = run_sweep(configs=[GOOD_CONFIG, dict(GOOD_CONFIG),
-                                    GOOD_CONFIG], workers=1)
+                                    GOOD_CONFIG])
         assert result["configs"] == 1
         assert len(result["records"]) == 1
 
     def test_records_follow_enumeration_order(self):
-        result = run_sweep(spec=SPEC, workers=1)
+        result = run_sweep(spec=SPEC)
         keys = [r["key"] for r in result["records"]]
         expected = [r["config"] for r in result["records"]]
         assert expected == [normalize_config(c) for c in SPEC.configs()]
         assert len(set(keys)) == SPEC.size
 
     def test_spec_and_explicit_configs_agree(self):
-        via_spec = run_sweep(spec=SPEC, workers=1)
-        via_list = run_sweep(configs=SPEC.configs(), workers=1)
+        via_spec = run_sweep(spec=SPEC)
+        via_list = run_sweep(configs=SPEC.configs())
         assert via_spec["records"] == via_list["records"]
+
+    def test_run_state_is_excluded_from_the_frontier_doc(self):
+        result = run_sweep(spec=SPEC)
+        assert "workers" not in result
+        assert "cache" not in frontier_doc(result)
 
     def test_needs_a_spec_or_configs(self):
         with pytest.raises(ValueError):
@@ -157,16 +124,6 @@ class TestCli:
         assert code == 0
         assert not (tmp_path / "results").exists()
 
-    def test_workers_flag_matches_serial_output(self, tmp_path, monkeypatch):
-        self.run(self.smoke_args(
-            ["--no-cache", "--workers", "1", "--out", "serial.json"]),
-            tmp_path, monkeypatch)
-        self.run(self.smoke_args(
-            ["--no-cache", "--workers", "4", "--out", "pooled.json"]),
-            tmp_path, monkeypatch)
-        assert (tmp_path / "serial.json").read_bytes() == \
-            (tmp_path / "pooled.json").read_bytes()
-
     def test_csv_and_records_exports(self, tmp_path, monkeypatch):
         code = self.run(self.smoke_args(
             ["--no-cache", "--csv", "sweep.csv", "--records", "all.json"]),
@@ -196,9 +153,9 @@ class TestCli:
         assert "banana" in capsys.readouterr().err
 
     def test_all_configs_failing_exits_one(self, tmp_path, monkeypatch):
-        def all_fail(spec=None, configs=None, workers=1, cache=None):
+        def all_fail(spec=None, configs=None, cache=None):
             return {"schema": "repro.dse/sweep/1", "spec": None,
-                    "workers": workers, "configs": 1,
+                    "configs": 1,
                     "records": [], "frontier": [],
                     "errors": [{"key": "k", "config": {},
                                 "error": {"type": "ValueError",

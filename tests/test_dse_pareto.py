@@ -1,20 +1,16 @@
 """Pareto reduction properties: seeded point clouds, ties, idempotence.
 
-Covers both frontier implementations:
-
-* ``repro.dse.pareto.pareto_reduce`` — record-level, the sweep engine's
-  reducer;
-* ``repro.core.design_space.pareto_front`` — the original DesignPoint
-  sweep, whose duplicate-vector tie handling this PR fixed (exactly one
-  canonical survivor, not zero, not both).
+Covers the sweep engine's record-level reducer
+(``repro.dse.pareto.pareto_reduce``) on synthetic clouds, plus the
+physical trends a real ``run_sweep`` over the paper workload must show.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.design_space import DesignPoint, pareto_front
-from repro.dse import (OBJECTIVE_KEYS, dominates, objective_vector,
-                       pareto_reduce, record_sort_key)
+from repro.dse import (OBJECTIVE_KEYS, SweepSpec, dominates,
+                       objective_vector, pareto_reduce, record_sort_key,
+                       run_sweep)
 
 
 def make_record(key: str, area, power, edp, density) -> dict:
@@ -32,14 +28,6 @@ def random_records(seed: int, count: int) -> list:
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.1, 10.0, size=(count, 4))
     return [make_record(f"{i:04d}", *row) for i, row in enumerate(values)]
-
-
-def random_points(seed: int, count: int) -> list:
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(0.1, 10.0, size=(count, 4))
-    return [DesignPoint(pattern=f"p{i:04d}", bus_bits=128, area_mm2=row[0],
-                        training_edp_js=row[1], inference_latency_s=row[2],
-                        density=row[3]) for i, row in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,56 +118,55 @@ class TestRecordFrontTies:
 
 
 # ---------------------------------------------------------------------------
-# DesignPoint-level front (repro.core.design_space) — tie-handling fix
+# Sweep-level trends (run_sweep over the paper workload)
 # ---------------------------------------------------------------------------
 
-class TestDesignPointFrontProperties:
-    @pytest.mark.parametrize("seed", [0, 3, 99])
-    def test_front_mutually_nondominating(self, seed):
-        front = pareto_front(random_points(seed, 150))
-        assert front
-        for a in front:
-            for b in front:
-                if a is not b:
-                    assert not a.dominates(b)
-
-    @pytest.mark.parametrize("seed", [0, 3, 99])
-    def test_every_excluded_point_is_dominated(self, seed):
-        points = random_points(seed, 150)
-        front = pareto_front(points)
-        for p in points:
-            if p in front:
-                continue
-            assert any(q.dominates(p) for q in front)
-
-    @pytest.mark.parametrize("seed", [0, 99])
-    def test_idempotent(self, seed):
-        front = pareto_front(random_points(seed, 150))
-        assert pareto_front(front) == front
+@pytest.fixture(scope="module")
+def sweep():
+    return run_sweep(spec=SweepSpec(patterns=("1:8", "1:4", "2:4"),
+                                    bus_bits=(64, 128)))
 
 
-class TestDesignPointFrontTies:
-    def test_duplicate_vectors_keep_exactly_one_canonical(self):
-        """Regression: equal metric vectors used to *both* survive (equal
-        points never dominate each other); now exactly one canonical
-        representative — stable by sort key — remains."""
-        a = DesignPoint("2:8", 128, 1.0, 1.0, 1.0, 0.25)
-        b = DesignPoint("1:4", 128, 1.0, 1.0, 1.0, 0.25)  # same metrics
-        dominated = DesignPoint("1:8", 64, 9.0, 9.0, 9.0, 0.125)
-        for ordering in ([a, b, dominated], [b, dominated, a],
-                         [dominated, a, b]):
-            front = pareto_front(ordering)
-            assert len(front) == 1, "exactly one survivor, not zero or both"
-            # '1:4' < '2:8' in the sort-key tie-break.
-            assert front[0].pattern == "1:4"
+def metrics_by_levers(result) -> dict:
+    return {(r["config"]["pattern"], r["config"]["bus_bits"]): r["metrics"]
+            for r in result["records"]}
 
-    def test_duplicate_same_levers_collapses_too(self):
-        a = DesignPoint("1:4", 128, 1.0, 1.0, 1.0, 0.25)
-        b = DesignPoint("1:4", 128, 1.0, 1.0, 1.0, 0.25)
-        assert len(pareto_front([a, b])) == 1
 
-    def test_front_still_sorted_by_area(self):
-        points = random_points(7, 60)
-        front = pareto_front(points)
-        areas = [p.area_mm2 for p in front]
-        assert areas == sorted(areas)
+class TestSweepTrends:
+    def test_wider_bus_no_slower(self, sweep):
+        by = metrics_by_levers(sweep)
+        for pattern in ("1:8", "1:4", "2:4"):
+            assert by[(pattern, 128)]["inference_latency_s"] <= \
+                by[(pattern, 64)]["inference_latency_s"]
+
+    def test_density_axis(self, sweep):
+        by = {r["config"]["pattern"]: r["metrics"]["density"]
+              for r in sweep["records"]}
+        assert by["2:4"] > by["1:4"] > by["1:8"]
+
+    def test_front_mutually_nondominated(self, sweep):
+        vectors = [objective_vector(r) for r in sweep["frontier"]]
+        assert vectors, "the paper sweep must have a non-empty front"
+        for i, a in enumerate(vectors):
+            for j, b in enumerate(vectors):
+                if i != j:
+                    assert not dominates(a, b)
+
+    def test_dominated_points_excluded(self, sweep):
+        front_keys = {r["key"] for r in sweep["frontier"]}
+        front_vectors = [objective_vector(r) for r in sweep["frontier"]]
+        outside = [r for r in sweep["records"]
+                   if r["key"] not in front_keys]
+        for record in outside:
+            vec = objective_vector(record)
+            assert any(dominates(f, vec) for f in front_vectors), \
+                f"excluded record {record['key']} is not dominated"
+
+    def test_extremes_on_front(self, sweep):
+        """Min-area and max-density points are always Pareto-optimal."""
+        records = sweep["records"]
+        min_area = min(r["metrics"]["area_mm2"] for r in records)
+        max_density = max(r["metrics"]["density"] for r in records)
+        front = sweep["frontier"]
+        assert any(r["metrics"]["area_mm2"] == min_area for r in front)
+        assert any(r["metrics"]["density"] == max_density for r in front)

@@ -1,7 +1,7 @@
 """Differential bit-exactness suite for the sparse-PE kernel layer.
 
 Every (pattern, batch, shape) workload is executed once per registered
-kernel implementation (``reference``, ``fast``, ``flat``) plus plain
+kernel implementation (``reference``, ``fast``) plus plain
 ``activations @ dense``, and all of them must agree bit-for-bit on int64,
 for both kernel families (MRAM gather and SRAM bit-serial).  A second
 class pins the switch's purity: every ``PEStats`` counter must be
@@ -173,11 +173,12 @@ class TestDispatch:
         assert resolve_kernel("fast") == "fast"
 
     def test_unknown_impl_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("turbo")
-        monkeypatch.setenv(KERNEL_ENV_VAR, "turbo")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel()
+        for name in ("turbo", "flat"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                resolve_kernel(name)
+            monkeypatch.setenv(KERNEL_ENV_VAR, name)
+            with pytest.raises(ValueError, match="unknown kernel"):
+                resolve_kernel()
 
     def test_env_var_reaches_pe(self, rng, monkeypatch):
         pattern = NMPattern(1, 4)

@@ -152,8 +152,8 @@ class TestSweepDifferential:
             status, result, _ = client.get(f"/v1/jobs/{job['id']}/result")
             assert status == 200
 
-            spec = build_sweep_spec(dict(self.SWEEP_REQUEST, workers=1))
-            direct = run_sweep(spec=spec, workers=1,
+            spec = build_sweep_spec(self.SWEEP_REQUEST)
+            direct = run_sweep(spec=spec,
                                cache=DiskCache(tmp_path / "direct_cache"))
             assert canon(result["result"]["frontier"]) \
                 == canon(frontier_doc(direct))
@@ -167,8 +167,8 @@ class TestSweepDifferential:
             assert done["state"] == "done", done.get("error")
             _, result, _ = client.get(f"/v1/jobs/{job['id']}/result")
 
-            spec = build_sweep_spec(dict(request, workers=1))
-            direct = run_sweep(spec=spec, workers=1, cache=NullCache())
+            spec = build_sweep_spec(request)
+            direct = run_sweep(spec=spec, cache=NullCache())
             assert canon(result["result"]["records"]) \
                 == canon(direct["records"])
 

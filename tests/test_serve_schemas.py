@@ -147,7 +147,7 @@ class TestGoldenResponses:
             "request": {"preset": "smoke",
                         "overrides": {"patterns": ["1:8"],
                                       "bus_bits": [64]},
-                        "workers": 1, "records": False},
+                        "records": False},
         }
         release.set()
         done = _wait(app, doc["id"])
