@@ -21,13 +21,16 @@ job traces are exported as Chrome ``trace_events`` documents via
 Error discipline: *every* failure path returns a structured JSON error
 document (:func:`~.schemas.error_doc`) — schema violations as 4xx,
 unexpected exceptions as a 500 with the exception class name, never a
-traceback in the body.
+traceback in the body.  ``http.server``'s own errors before routing
+(unsupported verb, unparsable request line) and chunked request bodies
+get the same JSON documents, and close the connection.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
@@ -296,6 +299,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection.  The headers and the body
+    # leave in separate sends; with Nagle's algorithm on, the body waits
+    # for the client's delayed ACK of the headers (~40 ms on Linux) on
+    # every keep-alive response.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:          # noqa: N802 — http.server API
         self._dispatch("GET")
@@ -316,6 +324,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         app: ServeApp = self.server.app  # type: ignore[attr-defined]
+        if "Transfer-Encoding" in self.headers:
+            # Chunked bodies are not decoded.  Reading none would leave
+            # the chunks on the socket to be parsed as the next request,
+            # so refuse and end the connection.
+            self.close_connection = True
+            self._send_json(411, error_doc(
+                "length-required",
+                "Transfer-Encoding is not supported; send the body with "
+                "a Content-Length"))
+            return
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -329,14 +347,39 @@ class _Handler(BaseHTTPRequestHandler):
             # cannot be reused for another request.
             self.close_connection = True
         status, doc = app.dispatch(method, self.path, raw)
+        self._send_json(status, doc)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """The stdlib's own error paths (unparsable request line,
+        unsupported verb, oversized header) as structured JSON, in place
+        of its HTML page.  The connection is closed afterwards, as the
+        stdlib does: the rest of the stream is not trusted."""
+        phrase = HTTPStatus(code).phrase
+        self.log_error("code %d, message %s", code, message or phrase)
+        # A request line that did not parse leaves http.server's HTTP/0.9
+        # default, under which it writes neither status line nor headers.
+        if self.command is None:
+            self.request_version = self.protocol_version
+        self.close_connection = True
+        self._send_json(code,
+                        error_doc(phrase.lower().replace(" ", "-"),
+                                  message or phrase),
+                        body=self.command != "HEAD")
+
+    def _send_json(self, status: int, doc: Dict[str, object],
+                   body: bool = True) -> None:
         payload = json.dumps(doc, indent=1, default=str).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         if isinstance(doc, dict) and "trace_id" in doc:
             self.send_header("X-Repro-Trace-Id", str(doc["trace_id"]))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(payload)
+        if body:
+            self.wfile.write(payload)
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):

@@ -6,8 +6,9 @@ evaluate_batch`): the first submission opens a window, every request
 landing inside it joins the batch, identical configs (same content-hash
 key) collapse to one evaluation, and each waiting client gets its own
 copy of the record for its key.  The window closes after ``window_s``
-seconds or when ``max_batch`` distinct requests are queued, whichever
-comes first.
+seconds or when ``max_batch`` requests are queued, whichever comes
+first; a batch takes at most ``max_batch`` requests, and the rest wait
+in the queue for the next one.
 
 Correctness model: the per-point evaluator is a pure function of the
 config (certified by lint rule R8) and the engine's cache is
@@ -163,8 +164,10 @@ class BatchingQueue:
                 if remaining <= 0:
                     break
                 self._cond.wait(timeout=remaining)
-            batch = self._pending
-            self._pending = []
+            # At most max_batch per engine call; the rest stay queued,
+            # and a full remainder starts the next batch at once.
+            batch = self._pending[:self.max_batch]
+            del self._pending[:self.max_batch]
             return batch
 
     def _run_batch(self, batch: List[_PendingRequest]) -> None:

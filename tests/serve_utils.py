@@ -26,6 +26,7 @@ class Client:
     """Blocking HTTP/JSON client against a loopback server."""
 
     def __init__(self, port, host="127.0.0.1", timeout=60.0):
+        self.host, self.port = host, port
         self.base = f"http://{host}:{port}"
         self.timeout = timeout
 
